@@ -123,9 +123,9 @@ func main() {
 	}
 	// A fixed pool of `workers` goroutines pulling experiment indices
 	// from a channel — never one goroutine per experiment. With the
-	// exact solver itself fanning out Config.Workers shard workers per
-	// search, an unbounded spawn here would oversubscribe the machine
-	// quadratically under -timeout pressure.
+	// async exact solver itself fanning out Config.Workers shard workers
+	// per search, an unbounded spawn here would oversubscribe the
+	// machine quadratically under -timeout pressure.
 	results := make([]result, len(selected))
 	queue := make(chan int, len(selected))
 	for i := range selected {

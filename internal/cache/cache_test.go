@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/pebble"
 )
 
 // testKey fabricates distinct keys for LRU tests without needing real
@@ -168,6 +171,37 @@ func TestFileStoreMalformedBlob(t *testing.T) {
 	}
 	if st := c.Stats(); st.DiskErrors != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v; want the malformed blob to degrade to a counted miss", st)
+	}
+}
+
+// TestFileStoreKeyVersionMiss: blobs a file store holds from an older
+// key version — written by an engine whose Results differed — must be
+// misses for the current version, in both key domains, while still
+// being readable under the key they were written with.
+func TestFileStoreKeyVersionMiss(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Codec: stringCodec{}}
+	in := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
+	sc := SolverConfig{Heuristic: 2, Dominance: true, MaxStates: 1000}
+	oldComplete := hashWords(appendKeyWords(in, sc, keyVersion-1, tagComplete, true))
+	oldPartial := hashWords(appendKeyWords(in, sc, keyVersion-1, tagPartial, false))
+
+	c1 := New(opts)
+	c1.Put(oldComplete, Entry{Value: "old optimum"})
+	c1.Put(oldPartial, Entry{Value: "old bracket", Budget: 1000})
+
+	c2 := New(opts)
+	if e, ok := c2.Get(KeyOf(in, sc)); ok {
+		t.Errorf("current-version Get served an old-version blob: %+v", e)
+	}
+	if e, ok := c2.GetPartial(PartialKeyOf(in, sc), 1000); ok {
+		t.Errorf("current-version GetPartial served an old-version blob: %+v", e)
+	}
+	if st := c2.Stats(); st.DiskHits != 0 || st.DiskErrors != 0 {
+		t.Errorf("stats = %+v; want clean misses (no disk hit, no disk error)", st)
+	}
+	if e, ok := c2.Get(oldComplete); !ok || e.Value != "old optimum" {
+		t.Errorf("old-version key no longer reads its own blob: %+v, %v", e, ok)
 	}
 }
 

@@ -42,10 +42,17 @@ import (
 	"repro/internal/pebble"
 )
 
-// keyVersion tags the canonical word layout. Bump it whenever the
-// encoding changes so stale file-store blobs miss cleanly instead of
-// decoding under the wrong semantics.
-const keyVersion = 1
+// keyVersion tags the canonical word layout and the solver semantics
+// behind a key. Bump it whenever the encoding changes, or whenever the
+// deterministic engine starts returning different Result fields for
+// the same (instance, config), so stale file-store blobs miss cleanly
+// instead of being served under the wrong semantics.
+//
+// Version 2: the deterministic engine became the sequential A* (LIFO
+// within an f-bucket, dominance settled at first expansion, budget cut
+// per expansion), which changed States, Pruned, budget-stop brackets
+// and witness strategies for the same key.
+const keyVersion = 2
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.
@@ -110,7 +117,7 @@ func (sc SolverConfig) Normalize() SolverConfig {
 // DAG words, the Params words, then the config words including the
 // normalized budget.
 func KeyOf(in *pebble.Instance, sc SolverConfig) Key {
-	return hashWords(appendKeyWords(in, sc, tagComplete, true))
+	return hashWords(appendKeyWords(in, sc, keyVersion, tagComplete, true))
 }
 
 // PartialKeyOf fingerprints (instance, config) for budget-stopped
@@ -118,13 +125,13 @@ func KeyOf(in *pebble.Instance, sc SolverConfig) Key {
 // one partial slot, and the budget lives on the entry where GetPartial's
 // serve guard can compare it against the caller's.
 func PartialKeyOf(in *pebble.Instance, sc SolverConfig) Key {
-	return hashWords(appendKeyWords(in, sc, tagPartial, false))
+	return hashWords(appendKeyWords(in, sc, keyVersion, tagPartial, false))
 }
 
-func appendKeyWords(in *pebble.Instance, sc SolverConfig, tag uint64, budgetInKey bool) []uint64 {
+func appendKeyWords(in *pebble.Instance, sc SolverConfig, version, tag uint64, budgetInKey bool) []uint64 {
 	sc = sc.Normalize()
 	words := make([]uint64, 1, 16+in.Graph.M())
-	words = append(words, keyVersion, tag)
+	words = append(words, version, tag)
 	words = in.Graph.AppendCanonicalWords(words)
 	words = in.Params.AppendWords(words)
 	dom, wit := uint64(0), uint64(0)

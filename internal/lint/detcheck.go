@@ -2,12 +2,14 @@ package lint
 
 import "sort"
 
-// DetCheck guards the deterministic engine's core promise: byte-
-// identical Results for any worker count. That promise dies quietly —
-// a map iteration feeding the result order, a time.Now sneaking into a
-// tie-break, a select racing two result channels — so every function
-// transitively reachable from a `//mpp:deterministic` root (the wave
-// engine's entry points) is checked for the three hazards:
+// DetCheck guards the deterministic engines' core promise: Results
+// that are pure functions of their inputs, byte-identical run to run
+// and for any worker count. That promise dies quietly — a map iteration
+// feeding the result order, a time.Now sneaking into a tie-break, a
+// select racing two result channels — so every function transitively
+// reachable from a `//mpp:deterministic` root (the exact solver's
+// sequential driver, the partitioned scheduler's entry points) is
+// checked for the three hazards:
 //
 //   - ranging over a map (iteration order is randomized; iterate
 //     sorted keys instead);

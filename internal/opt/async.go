@@ -1,18 +1,17 @@
 package opt
 
-// Asynchronous HDA* — the speculative "fast mode" engine selected by
-// Config.Mode == ModeAsync.
+// Asynchronous HDA* — the sharded "fast mode" engine selected by
+// Config.Mode == ModeAsync with more than one worker (at one worker
+// ModeAsync runs the sequential driver, parallel.go).
 //
 // Sharding, routing batches, the atomic incumbent/budget/stop words and
 // the admissible heuristic + dominance stack are all shared with the
-// deterministic wave engine (parallel.go). What changes is the
-// coordination discipline: there are no layers, no waves and no flush
-// markers. Each shard loops pop → expand → route at full speed on
-// whatever its queue holds, draining its inbox opportunistically. This
-// removes the barrier stalls *and* the wave-synchronous expansion
-// inflation (a wave must expand every same-f state before any cheaper
-// successor information propagates; the async engine, like a sequential
-// A*, sees relaxations as soon as they arrive).
+// sequential engine (parallel.go). Each shard loops pop → expand → route
+// at full speed on whatever its queue holds — the sequential driver's
+// per-entry step (expandOne), LIFO within an f-bucket and dominance
+// settling at first expansion — draining its inbox opportunistically.
+// There are no barriers: a shard sees cheaper-path relaxations as soon
+// as they arrive.
 //
 // Exactness is kept by two rules:
 //
@@ -25,19 +24,17 @@ package opt
 //     open f reaches the incumbent, no cheaper completion exists — still
 //     holds; only the "each state expands once" efficiency guarantee is
 //     given up.
-//   - Termination by quiescence, not by layer barrier: the incumbent is
-//     proven optimal when every queue entry below it is exhausted —
-//     detected as "all shards idle and no batch in flight" below. At
-//     that point the frontier minimum is ≥ the incumbent everywhere (an
-//     idle shard, by definition, has no live entry below the incumbent),
-//     which is exactly the deterministic engine's layer-barrier
-//     optimality proof.
+//   - Termination by quiescence: the incumbent is proven optimal when
+//     every queue entry below it is exhausted — detected as "all shards
+//     idle and no batch in flight" below. At that point the frontier
+//     minimum is ≥ the incumbent everywhere (an idle shard, by
+//     definition, has no live entry below the incumbent), which is
+//     exactly the sequential driver's optimality proof.
 //
-// Dominance pruning stays sound: a state is settled into the dominance
-// index at its (first) expansion instead of at a wave boundary. The
-// strict-inequality test reads the dominator's *current* g dynamically,
-// so a dominator that is later improved only prunes more; pruning never
-// removes a state whose completions cannot be simulated (dominate.go).
+// Dominance pruning stays sound: the strict-inequality test reads the
+// dominator's *current* g dynamically, so a dominator that is later
+// improved only prunes more; pruning never removes a state whose
+// completions cannot be simulated (dominate.go).
 //
 // Quiescence detection — the busy/inflight/activity protocol:
 //
@@ -57,13 +54,14 @@ package opt
 // become busy again (inflight == 0 and no busy shard means nothing can
 // be sent), so the flag is stable.
 //
-// Early stops (budget, cancellation) reuse the PR 5 atomics; the anytime
-// [LowerBound, Incumbent] bracket stays sound because no frontier entry
-// is ever lost: a popped entry is re-pushed when its expansion is
-// refused, quitting shards divert unflushed/unapplied batches to the
-// engine's leftover list instead of blocking on possibly-dead receivers,
-// and the coordinator applies every leftover after the workers exit,
-// before the bracket is assembled from the live queue minima.
+// Early stops (budget, cancellation) share the engine's atomics; the
+// anytime [LowerBound, Incumbent] bracket stays sound because no
+// frontier entry is ever lost: a popped entry is re-pushed when its
+// expansion is refused, quitting shards divert unflushed/unapplied
+// batches to the engine's leftover list instead of blocking on
+// possibly-dead receivers, and the coordinator applies every leftover
+// after the workers exit, before the bracket is assembled from the live
+// queue minima.
 //
 // What is traded away, exactly: States, Pruned, ReExpanded, the witness
 // trace and the partial-run bracket become timing-dependent (run-to-run
@@ -80,16 +78,16 @@ import (
 	"repro/internal/pebble"
 )
 
-// Mode selects the parallel engine's coordination discipline (see
-// Config.Mode).
+// Mode selects the exact engine (see Config.Mode).
 type Mode uint8
 
 const (
-	// ModeDeterministic is the wave-synchronous engine: results are
-	// byte-identical for every worker count. The default.
+	// ModeDeterministic is the sequential engine: Results are pure
+	// functions of (instance, config), whatever Config.Workers says. The
+	// default.
 	ModeDeterministic Mode = iota
-	// ModeAsync is the speculative asynchronous engine: exact optima,
-	// higher throughput, timing-dependent statistics and traces.
+	// ModeAsync is the sharded speculative engine across Config.Workers
+	// goroutines: exact optima, timing-dependent statistics and traces.
 	ModeAsync
 )
 
@@ -114,89 +112,6 @@ func ParseMode(s string) (Mode, bool) {
 	return ModeDeterministic, false
 }
 
-// expandOutcome is asyncExpand's verdict on one popped entry.
-type expandOutcome uint8
-
-const (
-	expandOK      expandOutcome = iota // expanded (or charged and expanded)
-	expandSkipped                      // stale / already expanded / goal
-	expandStopped                      // refused: budget or cancel; entry re-pushed
-)
-
-// runAsyncInline is the single-worker async driver: a plain sequential
-// A* with incumbent pruning — no goroutines, no channels, no batches.
-// It exists for the same reason runInline does (zero-concurrency
-// allocation budget) and doubles as the reference semantics for the
-// worker loop: runAsync with W shards interleaves W of these.
-func (e *engine) runAsyncInline() (*Result, error) {
-	if e.ctx.Err() != nil {
-		e.requestStop(StatusCanceled)
-		return e.partialResult(StatusCanceled, 0, false)
-	}
-	s := e.shards[0]
-	for {
-		f, ok := s.bq.minF()
-		if !ok {
-			return e.drained()
-		}
-		if e.incumbentNow() <= f {
-			return e.complete()
-		}
-		if st := e.stopStatus(); st != StatusComplete {
-			return e.partialResult(st, 0, false)
-		}
-		ent, ok := s.bq.popBucket(f)
-		if !ok {
-			continue
-		}
-		if s.asyncExpand(ent, f) == expandStopped {
-			return e.partialResult(e.stopStatus(), 0, false)
-		}
-	}
-}
-
-// asyncExpand processes one popped queue entry: skip it if stale,
-// already expanded or a goal; otherwise charge the budget and expand.
-// When the charge is refused (budget exhausted or context canceled) the
-// entry is pushed back so the frontier — and with it the anytime
-// LowerBound — stays complete.
-//
-//mpp:hotpath
-func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
-	if ent.g > s.dist[ent.idx] || s.expandedMark[ent.idx] {
-		return expandSkipped
-	}
-	s.cur = append(s.cur[:0], s.tab.Key(int(ent.idx))...)
-	if s.isGoal(s.cur) {
-		// Goals are never expanded: their relaxation already offered the
-		// incumbent, and expanding one could only find costlier states.
-		return expandSkipped
-	}
-	s.pops++
-	if s.pops&ctxCheckMask == 0 && s.ctx.Err() != nil {
-		s.eng.requestStop(StatusCanceled)
-		s.bq.push(f, ent.idx, ent.g)
-		return expandStopped
-	}
-	if !s.countExpansion() {
-		s.bq.push(f, ent.idx, ent.g)
-		return expandStopped
-	}
-	s.expandedMark[ent.idx] = true
-	s.expanded++
-	if s.useDom && !s.settledMark[ent.idx] {
-		// Settle at first expansion (the wave engine settles at wave
-		// boundaries): sound either way, and the mark keeps a reopened
-		// state from entering the dominance index twice.
-		s.settledMark[ent.idx] = true
-		k := s.in.K
-		s.dom.add(s.cur[k], s.cur[k+1], ent.idx)
-	}
-	s.curIdx = ent.idx
-	s.expand(ent.g)
-	return expandOK
-}
-
 // runAsync is the multi-worker async driver: one free-running goroutine
 // per shard, coordinated only through the inboxes and the quiescence
 // atomics. The coordinator just waits, then sweeps up leftovers and
@@ -204,7 +119,7 @@ func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
 func (e *engine) runAsync() (*Result, error) {
 	if e.ctx.Err() != nil {
 		e.requestStop(StatusCanceled)
-		return e.partialResult(StatusCanceled, 0, false)
+		return e.partialResult(StatusCanceled)
 	}
 	atomic.StoreInt64(&e.busy, int64(e.nShards))
 	var wg sync.WaitGroup
@@ -226,7 +141,7 @@ func (e *engine) runAsync() (*Result, error) {
 	if st == StatusComplete {
 		st = StatusCanceled // unreachable: workers exit only on done or stop
 	}
-	return e.partialResult(st, 0, false)
+	return e.partialResult(st)
 }
 
 // asyncLoop is one shard's free-running worker: drain the inbox, pop the
@@ -255,7 +170,7 @@ func (s *solver) asyncLoop() {
 		if !ok {
 			continue
 		}
-		if s.asyncExpand(ent, f) == expandStopped {
+		if s.expandOne(ent, f) == expandStopped {
 			s.asyncQuit()
 			return
 		}
@@ -320,8 +235,9 @@ func (s *solver) asyncFlush() {
 }
 
 // asyncShip delivers a batch to dst's inbox, draining this shard's own
-// inbox while the destination is full (the same no-circular-wait
-// argument as send). If the search stops first, the batch goes to the
+// inbox while the destination is full: a blocked sender that keeps its
+// inbox empty can never be part of a circular wait, so the bounded
+// channels cannot deadlock. If the search stops first, the batch goes to the
 // engine's leftover list — the receiver may already have quit, and the
 // coordinator applies leftovers after the workers exit.
 func (s *solver) asyncShip(dst int, b *batch) {

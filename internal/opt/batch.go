@@ -64,8 +64,6 @@ func (s *solver) arenaBytes() int64 {
 	b += int64(cap(s.parent))*parentEdgeBytes + sliceHdrBytes
 	b += int64(cap(s.expandedMark)) + sliceHdrBytes
 	b += int64(cap(s.settledMark)) + sliceHdrBytes
-	b += int64(cap(s.worklist))*bqEntryBytes + sliceHdrBytes
-	b += int64(cap(s.waveExp))*4 + sliceHdrBytes
 	for _, bucket := range s.bq.buckets {
 		b += int64(cap(bucket))*bqEntryBytes + sliceHdrBytes
 	}
@@ -99,10 +97,8 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.n = in.Graph.N()
 	s.witness = cfg.Witness
 	s.useDom = cfg.Dominance && !cfg.Witness
-	s.async = cfg.Mode == ModeAsync
 	s.eng, s.shard = e, shard
 	s.pruned, s.expanded, s.reopened, s.pops = 0, 0, 0, 0
-	s.markers = 0
 	s.curIdx = 0
 	s.initDerived()
 	s.initScratch()
@@ -117,8 +113,6 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.settledMark = s.settledMark[:0]
 	s.parent = s.parent[:0]
 	s.bq.reset()
-	s.worklist = s.worklist[:0]
-	s.waveExp = s.waveExp[:0]
 	if s.useDom {
 		if s.dom == nil {
 			s.dom = newDomIndex()
@@ -128,16 +122,12 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	}
 	if e.nShards > 1 {
 		if len(s.out) == e.nShards {
-			for i := range s.out {
-				s.out[i] = nil
-				s.incoming[i] = s.incoming[i][:0]
-			}
+			clear(s.out)
 		} else {
 			s.out = make([]*batch, e.nShards)
-			s.incoming = make([][]*batch, e.nShards)
 		}
 	} else {
-		s.out, s.incoming = nil, nil
+		s.out = nil
 	}
 }
 

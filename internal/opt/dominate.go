@@ -19,16 +19,13 @@ package opt
 // Pruning is only enabled in non-witness mode, alongside shade
 // canonicalization (a pruned state has no parent edge, and the subset
 // test per canonical position is what makes the processor matching
-// sound). "Settled" means expanded in an *earlier wave* of the layered
-// search: solver.settleWave registers a wave's expansions at the wave
-// boundary, so the dominator set any candidate is tested against is a
-// pure function of the wave number — the property that keeps pruning
-// byte-identical across worker counts (parallel.go). Settled states
-// are indexed by a (blue, computed) hash in an
-// open-addressing side table whose buckets chain all settled states
-// sharing those two words; red words are fetched from the main state
-// table's arena on demand, so the index itself stores three int32 arrays
-// and two key words per slot — nothing else.
+// sound). "Settled" means expanded: solver.expandOne registers a state
+// at its first expansion (a settled mark keeps a reopened state from
+// being added twice). Settled states are indexed by a (blue, computed)
+// hash in an open-addressing side table whose buckets chain all settled
+// states sharing those two words; red words are fetched from the main
+// state table's arena on demand, so the index itself stores three int32
+// arrays and two key words per slot — nothing else.
 
 const domEmptySlot = int32(-1)
 

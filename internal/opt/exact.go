@@ -16,13 +16,11 @@
 // candidate touches the heap zero times. A map-backed oracle run of the
 // same search (see oracle.go) locks the results byte-for-byte.
 //
-// The search is organized as a wave-synchronous A* over f-layers (see
-// parallel.go): with Config.Workers > 1 the state space is hash-sharded
-// across workers HDA*-style, and the layer barriers make the results
-// byte-identical to the single-worker run regardless of worker count.
-// Config.Mode = ModeAsync swaps the layer barriers for speculative
-// asynchronous HDA* (see async.go): the optimum stays exact, but
-// expansion counts and traces become timing-dependent.
+// The default engine is a sequential A* (see parallel.go) whose Results
+// are pure functions of (instance, config). Config.Mode = ModeAsync with
+// Config.Workers > 1 hash-shards the state space across goroutines as
+// speculative asynchronous HDA* (see async.go): the optimum stays exact,
+// but expansion counts and traces become timing-dependent.
 //
 // Solver arenas (table, queue, dominance index, scratch) are recycled
 // through a package-level pool across searches (see batch.go); callers
@@ -54,11 +52,11 @@ type Result struct {
 	Cost int64
 	// States counts charged expansions summed across shards: states
 	// popped live from a frontier and expanded (each charged once against
-	// Config.MaxStates). The meaning is identical in every engine —
-	// inline, deterministic-sharded and async; in ModeDeterministic the
-	// count is additionally invariant across worker counts, while in
-	// ModeAsync it is timing-dependent (a state re-expanded after a
-	// better-g reopening is charged again — see ReExpanded).
+	// Config.MaxStates). The meaning is identical in both engines; in
+	// ModeDeterministic the count is a pure function of (instance,
+	// config), while in sharded ModeAsync it is timing-dependent (a state
+	// re-expanded after a better-g reopening is charged again — see
+	// ReExpanded).
 	States int
 
 	// Status reports whether the search completed or why it stopped.
@@ -88,13 +86,15 @@ type Result struct {
 	// insertion — dead-ness is a pure function of the state, so this
 	// share is order-independent). Zero when dominance is off and the
 	// instance is not one-shot. The meaning is identical in every engine;
-	// in ModeDeterministic the value is invariant across worker counts,
-	// in ModeAsync it is timing-dependent like States.
+	// in ModeDeterministic the value is a pure function of (instance,
+	// config) like States, in sharded ModeAsync it is timing-dependent.
 	Pruned int
-	// ReExpanded counts ModeAsync re-expansions: a speculatively expanded
-	// state reopened by a later, cheaper path and expanded again (each
-	// such expansion is also in States). Always 0 in ModeDeterministic —
-	// the layer barriers make premature expansion impossible.
+	// ReExpanded counts re-expansions: an expanded state reopened by a
+	// later, cheaper path and expanded again (each such expansion is also
+	// in States). The sequential engine pops f in non-decreasing order,
+	// so with the shipped consistent heuristics it never reopens and this
+	// stays 0 in ModeDeterministic; in sharded ModeAsync it counts the
+	// speculation that went wrong and is timing-dependent.
 	ReExpanded int
 	// HeuristicMode records which heuristic stack guided the search.
 	HeuristicMode HeuristicMode
@@ -102,17 +102,15 @@ type Result struct {
 
 // Config selects the search variant. The zero value is a valid
 // no-frills configuration (max heuristic, no dominance, no witness, no
-// state budget, GOMAXPROCS workers); most callers want DefaultConfig.
+// state budget, the sequential deterministic engine); most callers want
+// DefaultConfig.
 type Config struct {
-	// MaxStates bounds the number of distinct states expanded (summed
-	// across workers); exceeding it stops the search with a partial
-	// Result and ErrBudget. Non-positive means unbounded. Deterministic
-	// engines check the budget at wave boundaries and let the stopping
-	// wave finish — States may overshoot MaxStates by that wave's tail,
-	// which is what keeps every partial-Result field a pure function of
-	// the search graph (a mid-wave cut would expand a scheduling-
-	// dependent subset). ModeAsync promises no such invariance and
-	// enforces the cap exactly, per expansion.
+	// MaxStates bounds the number of states expanded (summed across
+	// workers); exceeding it stops the search with a partial Result and
+	// ErrBudget. Non-positive means unbounded. The cap is enforced per
+	// expansion: a budget-stopped Result has States == MaxStates exactly
+	// (in ModeDeterministic the stop, like every other Result field, is
+	// a pure function of (instance, config)).
 	MaxStates int
 	// Heuristic selects the admissible bound stack (zero value:
 	// HeuristicMax, the strongest).
@@ -123,25 +121,25 @@ type Config struct {
 	Dominance bool
 	// Witness requests reconstruction of one optimal move sequence.
 	Witness bool
-	// Workers is the number of search workers the state space is
-	// hash-sharded across. 0 means GOMAXPROCS; 1 runs the engine inline
-	// with no goroutines or channels. In ModeDeterministic results are
-	// byte-identical for every worker count (States and Pruned included).
+	// Workers is the number of goroutines a ModeAsync search hash-shards
+	// the state space across: 0 means GOMAXPROCS, 1 runs the sequential
+	// engine with no goroutines or channels. ModeDeterministic ignores
+	// it — that engine is always sequential.
 	Workers int
-	// Mode selects the parallel engine's coordination discipline:
-	// ModeDeterministic (the zero value) runs wave-synchronous layers
-	// with worker-count-invariant results; ModeAsync drops the barriers
-	// for raw throughput — the returned Cost/Status stay exact, but
-	// States/Pruned/ReExpanded and the witness trace become
-	// timing-dependent. See async.go.
+	// Mode selects the engine: ModeDeterministic (the zero value) runs
+	// the sequential A*, whose Results are pure functions of (instance,
+	// config); ModeAsync runs the sharded speculative HDA* across
+	// Workers goroutines for multicore throughput — the returned
+	// Cost/Status stay exact, but States/Pruned/ReExpanded and the
+	// witness trace become timing-dependent. See parallel.go and
+	// async.go.
 	Mode Mode
 }
 
 // DefaultConfig is the configuration the plain Exact entry points run:
-// the max heuristic with dominance pruning — the fastest sound setup.
-// Workers is left 0 (GOMAXPROCS), so ExactWith callers inherit the
-// sharded parallel search; the plain convenience entry points pin
-// Workers to 1 (see Exact).
+// the max heuristic with dominance pruning on the sequential
+// deterministic engine — the fastest sound setup. Set Mode to ModeAsync
+// (and Workers) for the sharded multicore search.
 func DefaultConfig(maxStates int) Config {
 	return Config{MaxStates: maxStates, Heuristic: HeuristicMax, Dominance: true}
 }
@@ -159,12 +157,11 @@ func DefaultConfig(maxStates int) Config {
 // requirement still holds), and one-shot mode (the computed set joins the
 // search state).
 //
-// The plain entry points run single-worker (results are byte-identical
-// either way; one worker keeps the zero-goroutine allocation budget).
-// Use ExactWith with Config.Workers for the sharded parallel search.
+// The plain entry points run the sequential deterministic engine. Use
+// ExactWith with Config.Mode = ModeAsync for the sharded parallel
+// search.
 func Exact(in *pebble.Instance, maxStates int) (*Result, error) {
 	cfg := DefaultConfig(maxStates)
-	cfg.Workers = 1
 	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ExactCtx
 	return exact(context.Background(), in, cfg, nil)
 }
@@ -174,27 +171,24 @@ func Exact(in *pebble.Instance, maxStates int) (*Result, error) {
 // passes, returning an error wrapping ctx.Err().
 func ExactCtx(ctx context.Context, in *pebble.Instance, maxStates int) (*Result, error) {
 	cfg := DefaultConfig(maxStates)
-	cfg.Workers = 1
 	return exact(ctx, in, cfg, nil)
 }
 
 // ExactWith is Exact under an explicit Config — heuristic mode,
 // dominance pruning, witness reconstruction, the state budget and the
-// worker count are all caller-chosen. The benchmark harness, the
-// experiment harness and the per-mode equivalence tests use it; with
-// DefaultConfig it runs the sharded search across GOMAXPROCS workers.
+// engine mode (with its worker count) are all caller-chosen. The
+// benchmark harness, the experiment harness and the per-mode
+// equivalence tests use it.
 func ExactWith(ctx context.Context, in *pebble.Instance, cfg Config) (*Result, error) {
 	return exact(ctx, in, cfg, nil)
 }
 
 // ExactWithStrategy is Exact additionally reconstructing one optimal
 // strategy (via parent pointers); the result replays to exactly the
-// optimal cost. Costs slightly more memory per state. Single-worker,
-// like Exact.
+// optimal cost. Costs slightly more memory per state.
 func ExactWithStrategy(in *pebble.Instance, maxStates int) (*Result, error) {
 	cfg := DefaultConfig(maxStates)
 	cfg.Witness = true
-	cfg.Workers = 1
 	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ExactWithStrategyCtx
 	return exact(context.Background(), in, cfg, nil)
 }
@@ -205,14 +199,14 @@ func ExactWithStrategy(in *pebble.Instance, maxStates int) (*Result, error) {
 func ExactWithStrategyCtx(ctx context.Context, in *pebble.Instance, maxStates int) (*Result, error) {
 	cfg := DefaultConfig(maxStates)
 	cfg.Witness = true
-	cfg.Workers = 1
 	return exact(ctx, in, cfg, nil)
 }
 
 // exact runs the search. newTab overrides the per-shard state table
 // constructor (tests pass the map-backed hashtab.Ref oracle); nil
 // selects the open-addressing table. A constructor rather than an
-// instance: the sharded engine needs one single-owner table per worker.
+// instance: the sharded async engine needs one single-owner table per
+// worker.
 //
 // Runs with the default table recycle their solver arenas through the
 // package pool (see batch.go); oracle runs stay pool-free so a Ref never
@@ -256,8 +250,8 @@ type parentEdge struct {
 // solver is one shard's worker state: it owns a contiguous partition of
 // the hash-sharded state space — its own table arena, distance and
 // parent arrays, bucket queue and dominance index — and exchanges only
-// candidate batches (see parallel.go) with other shards. With one
-// worker there is exactly one solver holding the whole space.
+// candidate batches (see async.go) with other shards. The sequential
+// engine has exactly one solver holding the whole space.
 type solver struct {
 	in      *pebble.Instance
 	ctx     context.Context
@@ -265,7 +259,6 @@ type solver struct {
 	cfg     Config
 	witness bool // == cfg.Witness, hoisted for the hot path
 	useDom  bool // dominance pruning active (cfg.Dominance && !witness)
-	async   bool // == (cfg.Mode == ModeAsync), hoisted for the hot path
 
 	eng   *engine // shared search-wide state (incumbent, budget, routing)
 	shard int32   // this solver's shard id
@@ -282,34 +275,24 @@ type solver struct {
 	parent []parentEdge  // per state index; witness mode only
 	bq     bucketQueue
 
-	// expandedMark marks state indices this shard has expanded — the
-	// within-layer dedupe (a state reappearing in a later wave of the
-	// same f-layer via an equal-cost path must not expand twice) and the
-	// settled-set definition for dominance pruning. In async mode the
-	// mark is cleared again when a cheaper path reopens the state.
+	// expandedMark marks state indices this shard has expanded: a queue
+	// entry of an expanded state neither expands it again nor counts in
+	// the anytime frontier bound. It is cleared again when a cheaper
+	// path reopens the state.
 	expandedMark []bool
-	// settledMark (async + dominance only) remembers states already
-	// registered in the dominance index, so a reopened state is not
-	// added twice on re-expansion.
+	// settledMark (dominance only) remembers states already registered
+	// in the dominance index, so a reopened state is not added twice on
+	// re-expansion.
 	settledMark []bool
 	dom         *domIndex
 	pruned      int
 	expanded    int // states expanded by this shard
-	reopened    int // async: expanded states reopened by a better g
-	pops        int // worklist entries examined, for ctx-poll throttling
+	reopened    int // expanded states reopened by a better g
+	pops        int // queue entries examined, for ctx-poll throttling
 
-	// Wave bookkeeping: the current wave's drained bucket contents and
-	// the state indices expanded during it (settled into the dominance
-	// index at the wave boundary — see parallel.go for why).
-	worklist []bqEntry
-	waveExp  []int32
-
-	// Cross-shard routing state (Workers > 1 only): per-destination
-	// outgoing batch under construction, per-source received batches for
-	// the current wave, and the count of flush markers received.
-	out      []*batch
-	incoming [][]*batch
-	markers  int
+	// out is the per-destination outgoing batch under construction
+	// (sharded ModeAsync only).
+	out []*batch
 
 	curIdx int32 // index of the state being expanded
 
@@ -419,8 +402,8 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 }
 
 // applyRemote applies one candidate received from another shard — the
-// deferred half of offer, run during the wave's apply phase. The words
-// slice aliases the batch buffer; Insert copies it.
+// deferred half of offer, run when the owner drains its inbox. The
+// words slice aliases the batch buffer; Insert copies it.
 //
 //mpp:hotpath
 func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.Move) {
@@ -444,11 +427,11 @@ func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.
 // candidate does not improve the known distance (the rejected path
 // allocates nothing — Insert on a present key is allocation-free).
 //
-// In async mode an improving relaxation of an already-expanded state
-// reopens it (the re-expansion rule, see async.go): the expanded mark is
-// cleared so the state expands again with the better g. Impossible in
-// deterministic mode, where layer barriers guarantee a state expands
-// only at its final distance.
+// An improving relaxation of an already-expanded state reopens it (the
+// re-expansion rule, see async.go): the expanded mark is cleared so the
+// state expands again with the better g. Only sharded speculation
+// triggers it with the shipped consistent heuristics — the sequential
+// engine expands every state at its final distance.
 //
 //mpp:hotpath
 func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
@@ -458,7 +441,7 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 			return -1, false
 		}
 		s.dist[idx] = cost
-		if s.async && s.expandedMark[idx] {
+		if s.expandedMark[idx] {
 			s.expandedMark[idx] = false
 			s.reopened++
 		}
@@ -466,7 +449,7 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 	}
 	s.dist = append(s.dist, cost)
 	s.expandedMark = append(s.expandedMark, false)
-	if s.async && s.useDom {
+	if s.useDom {
 		s.settledMark = append(s.settledMark, false)
 	}
 	if s.witness {
@@ -482,8 +465,8 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 	// Anytime incumbent: any goal state relaxed at cost c witnesses a
 	// feasible pebbling of cost c, even though optimality is only proven
-	// at the layer barrier. The incumbent is a search-wide atomic min,
-	// so every worker count converges to the same value.
+	// once the frontier minimum reaches it. The incumbent is a
+	// search-wide atomic min shared by every shard.
 	if cost < s.eng.incumbentNow() && s.isGoal(w) {
 		s.eng.offerIncumbent(cost, stateRef{shard: s.shard, idx: idx})
 	}
@@ -494,8 +477,7 @@ func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 		// queued. Counted into Pruned alongside dominance drops — but
 		// only on first insertion: dead-ness is a pure function of the
 		// state words, so counting per state (not per improvement event)
-		// keeps Pruned order-independent and hence worker-count-
-		// invariant in deterministic mode.
+		// keeps this share order-independent.
 		if fresh {
 			s.pruned++
 		}

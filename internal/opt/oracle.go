@@ -10,11 +10,11 @@ import (
 
 // Oracle variants of the exact solvers: the identical search code run
 // against the map-backed hashtab.Ref instead of the open-addressing
-// table. Because the traversal, tie-breaking (FIFO within each wave of
-// the bucket queue) and pruning logic are shared and only the
+// table. Because the traversal, tie-breaking (LIFO within each f-bucket
+// of the bucket queue) and pruning logic are shared and only the
 // state-identity structure is swapped, an oracle run must return
-// byte-identical results — (Cost,
-// States) for Exact, (Feasible, States, Order) for ZeroIOBig. The
+// byte-identical results — (Cost, States) for Exact, (Feasible, States,
+// Order) for ZeroIOBig. The
 // equivalence tests assert exactly that on the DAG zoo and the Theorem 2
 // reduction instances; the oracles are ordinary non-test code (no build
 // tag) so the comparison compiles everywhere.
@@ -30,8 +30,8 @@ func ExactOracle(in *pebble.Instance, maxStates int) (*Result, error) {
 
 // ExactOracleWith is ExactWith backed by the map-based reference state
 // table, so every Config combination — heuristic mode, dominance,
-// witness, worker count (each shard gets its own Ref) — can be locked
-// byte-for-byte against the arena-backed run.
+// witness — can be locked byte-for-byte against the arena-backed run
+// (a sharded ModeAsync run gives each shard its own Ref).
 func ExactOracleWith(in *pebble.Instance, cfg Config) (*Result, error) {
 	//lint:ignore ctxthread oracle runs are equivalence-test support and never deadline-bound
 	return exact(context.Background(), in, cfg, func() hashtab.Index { return hashtab.NewRef(stateWords(in.K)) })

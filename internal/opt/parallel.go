@@ -1,65 +1,42 @@
 package opt
 
-// Wave-synchronous sharded A* — the deterministic parallel engine under
-// every Exact entry point.
+// The exact search engine: the sequential deterministic driver every
+// ModeDeterministic solve runs, and the search-wide state (incumbent,
+// budget, stop flag, shards) that the sharded ModeAsync engine in
+// async.go builds on.
 //
-// The state space is hash-partitioned (HDA*-style) by the (blue,
-// computed) words of a packed configuration: hashtab.ShardOf over the
-// same domHash the dominance index keys on, so a candidate and every
-// state that could dominate it — dominance requires identical (blue,
-// computed) — land on the same shard, and shade canonicalization (which
-// permutes only red words) never moves a state across shards. Each
-// shard owns its table arena, distance/parent arrays, bucket queue and
-// dominance index outright; nothing per-state is ever shared, so the
-// workers run lock-free on their hot paths.
+// The sequential driver (runSequential) is a plain A* over the one
+// shard's monotone bucket queue: it pops the minimum f-bucket LIFO —
+// successors of the newest same-f state first, so the search dives
+// depth-first across an f-plateau and reaches goal states (hence
+// incumbent pruning) early — settles each state into the dominance
+// index at its first expansion, and reopens a state when a cheaper path
+// to it appears (with the shipped consistent heuristics this never
+// happens; ReExpanded stays 0). Goal states are never expanded: their
+// relaxation offers the incumbent, and the search is complete once the
+// queue minimum reaches it. The budget is charged per expansion and a
+// budget stop refuses the expansion that would exceed it, so a stopped
+// run has States == MaxStates exactly.
 //
-// Determinism across worker counts comes from bulk-synchronous layers
-// instead of asynchronous HDA* racing:
+// The driver is single-threaded, so every Result field — States,
+// Pruned, the bracket of a budget stop and the witness move sequence —
+// is a pure function of (instance, config). Config.Workers is not read:
+// a deterministic solve is the same computation at every worker count,
+// which is the byte-identity contract the solve cache and the job
+// server rely on. The map-backed oracle (oracle.go) runs the same
+// driver through a state-table factory seam, so the byte-for-byte
+// equivalence tests cover it.
 //
-//   - A *layer* is the global minimum f-value F over all shard queues.
-//   - A layer runs as *waves*. In a wave every shard drains its own
-//     bucket F and expands the drained states, routing candidates to
-//     their owners (local ones apply immediately, remote ones batch
-//     over bounded channels). A flush-marker barrier ends the wave:
-//     each shard sends one marker to every shard after its batches, and
-//     applies buffered batches only after all markers arrived — per-
-//     sender channel FIFO makes the marker a completeness proof. States
-//     relaxed *to* f == F during a wave form the next wave; an empty
-//     layer advances F.
-//   - The set of states expanded in each wave is a pure function of the
-//     search graph (induction over waves: wave 0 of a layer is the
-//     bucket-F contents at layer entry; relaxation outcomes are min
-//     operations, so apply order within a wave cannot change any
-//     distance, and a consistent heuristic rules out same-layer
-//     re-improvement). Worker count only changes *where* states live,
-//     never *which* states expand — so States, LowerBound, Cost and the
-//     incumbent are byte-identical for every worker count. The one
-//     exception: in one-shot mode the dead-state share of Pruned counts
-//     improvement events, whose within-wave order is worker-dependent
-//     (Result.Pruned documents this).
-//   - The incumbent is a search-wide atomic min (offerIncumbent); a
-//     layer whose F reaches the incumbent proves it optimal — the goal
-//     check that a sequential A* does at pop time happens here at the
-//     layer barrier, which is what keeps it worker-count-invariant.
-//
-// Termination detection is the coordinator's: workers only ever run one
-// wave per command, so "all queues empty" and "incumbent ≤ F" are
-// evaluated between waves on quiescent state (the command/report
-// channel pair establishes the happens-before edges). Early stops
-// (budget, cancellation) raise a flag that workers poll per expansion;
-// an aborting wave still completes its flush/apply barrier, so no
-// worker ever blocks on a peer that quit — and the budget is a single
-// atomic counter, naturally "split across shards".
-//
-// Workers == 1 runs the identical wave engine inline (no goroutines, no
-// channels, no batches) — that path is the sequential solver, and the
-// map-backed oracle (oracle.go) runs through it too, so the
-// cross-implementation byte-for-byte equivalence tests cover the wave
-// semantics at every worker count.
-//
-// Config.Mode == ModeAsync swaps this wave discipline for speculative
-// asynchronous HDA* (async.go): same sharding, same routing batches and
-// atomics, no barriers — exact optima, relaxed determinism.
+// With Config.Mode == ModeAsync and more than one worker the state space
+// is instead hash-partitioned (HDA*-style) across goroutines by the
+// (blue, computed) words of a packed configuration: hashtab.ShardOf
+// over the same domHash the dominance index keys on, so a candidate and
+// every state that could dominate it land on the same shard, and shade
+// canonicalization (which permutes only red words) never moves a state
+// across shards. Each shard owns its table arena, distance/parent
+// arrays, bucket queue and dominance index outright; shards exchange
+// candidates in pooled batches (route) and share only the atomics
+// below. See async.go for the coordination protocol.
 
 import (
 	"context"
@@ -74,26 +51,24 @@ import (
 )
 
 const (
-	// maxWorkers caps resolved worker counts; beyond this, per-shard
-	// queue scans and barrier fan-out dominate any conceivable gain on
-	// ≤ 62-node instances.
+	// maxWorkers caps resolved ModeAsync worker counts; beyond this,
+	// per-shard queue scans and batch fan-out dominate any conceivable
+	// gain on ≤ 62-node instances.
 	maxWorkers = 64
 	// batchStates is the number of candidates a router batch carries
 	// before it is shipped; bounds memory without per-candidate sends.
 	batchStates = 64
 	// inboxDepth bounds each shard's inbox channel. Senders facing a
-	// full inbox drain their own inbox while waiting (see send), so the
-	// bound throttles memory without deadlock.
+	// full inbox drain their own inbox while waiting (see asyncShip), so
+	// the bound throttles memory without deadlock.
 	inboxDepth = 8
 )
 
 // batch is the router's unit of cross-shard transfer: up to batchStates
 // candidate relaxations (packed words + g-cost, plus parent ref and
-// move in witness mode), or a flush marker ending a sender's wave.
-// Batches are pooled and reused across waves.
+// move in witness mode). Batches are pooled and reused.
 type batch struct {
 	src   int32
-	flush bool
 	n     int
 	words []uint64
 	costs []int64
@@ -140,7 +115,10 @@ type engine struct {
 }
 
 func newEngine(ctx context.Context, in *pebble.Instance, cfg Config, newTab func() hashtab.Index, pooled bool) *engine {
-	w := resolveWorkers(cfg.Workers)
+	w := 1
+	if cfg.Mode == ModeAsync {
+		w = resolveWorkers(cfg.Workers)
+	}
 	limit := int64(math.MaxInt64)
 	if cfg.MaxStates > 0 {
 		limit = int64(cfg.MaxStates)
@@ -161,8 +139,8 @@ func newEngine(ctx context.Context, in *pebble.Instance, cfg Config, newTab func
 	return e
 }
 
-// resolveWorkers maps Config.Workers to an effective shard count:
-// non-positive means GOMAXPROCS, clamped to maxWorkers.
+// resolveWorkers maps a ModeAsync Config.Workers to an effective shard
+// count: non-positive means GOMAXPROCS, clamped to maxWorkers.
 func resolveWorkers(w int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -206,11 +184,11 @@ func (e *engine) requestStop(st Status) {
 func (e *engine) stopStatus() Status { return Status(atomic.LoadUint32(&e.stopFlag)) }
 
 // countExpansion charges one expansion against the shared budget,
-// raising the budget stop (and un-charging) when it would exceed it.
-// Async-engine only: a per-expansion cut is scheduling-dependent, which
-// the async mode's contract allows and the deterministic one does not —
-// deterministic engines charge unconditionally (chargeExpansion) and
-// stop at wave boundaries (budgetSpent).
+// raising the budget stop (and un-charging) when it would exceed it, so
+// a budget-stopped search has expanded exactly MaxStates states. In the
+// sequential engine that cut is a pure function of the search; in the
+// sharded async engine which shard wins the last grants is scheduling-
+// dependent, which that mode's contract allows.
 //
 //mpp:hotpath
 func (s *solver) countExpansion() bool {
@@ -222,19 +200,6 @@ func (s *solver) countExpansion() bool {
 	}
 	return true
 }
-
-// chargeExpansion records one deterministic-engine expansion. No limit
-// check: the wave in progress always completes (its expansion set must
-// stay a pure function of the search graph), and the coordinator stops
-// the search at the next wave boundary once budgetSpent reports the
-// budget gone.
-//
-//mpp:hotpath
-func (s *solver) chargeExpansion() { atomic.AddInt64(&s.eng.expandedTotal, 1) }
-
-// budgetSpent reports whether the expansion budget is exhausted —
-// consulted between waves, never inside one.
-func (e *engine) budgetSpent() bool { return atomic.LoadInt64(&e.expandedTotal) >= e.limit }
 
 func (e *engine) statesTotal() int { return int(atomic.LoadInt64(&e.expandedTotal)) }
 
@@ -254,8 +219,8 @@ func (e *engine) reopenedTotal() int {
 	return total
 }
 
-// run seeds the start state and dispatches to the mode's inline or
-// parallel driver.
+// run seeds the start state and dispatches to the sequential driver, or
+// to the sharded async driver when the engine has more than one shard.
 func (e *engine) run() (*Result, error) {
 	start := make([]uint64, stateWords(e.in.K))
 	owner := 0
@@ -266,196 +231,90 @@ func (e *engine) run() (*Result, error) {
 	idx, fresh := s.insert(start, 0)
 	e.startRef = stateRef{shard: int32(owner), idx: idx}
 	s.enqueue(start, 0, idx, fresh)
-	if e.cfg.Mode == ModeAsync {
-		if e.nShards == 1 {
-			return e.runAsyncInline()
-		}
-		return e.runAsync()
-	}
 	if e.nShards == 1 {
-		return e.runInline()
+		return e.runSequential()
 	}
-	return e.runParallel()
+	return e.runAsync()
 }
 
-// runInline is the single-worker driver: the same layer/wave structure
-// with the one shard's phases executed in place.
+// expandOutcome is expandOne's verdict on one popped entry.
+type expandOutcome uint8
+
+const (
+	expandOK      expandOutcome = iota // charged and expanded
+	expandSkipped                      // stale / already expanded / goal
+	expandStopped                      // refused: budget or cancel; entry re-pushed
+)
+
+// runSequential is the single-shard driver: a plain sequential A* with
+// incumbent pruning — no goroutines, no channels, no batches. Every
+// ModeDeterministic solve runs it, and so does ModeAsync at one worker;
+// the sharded async worker loop (asyncLoop) interleaves W of these.
 //
 //mpp:deterministic
-func (e *engine) runInline() (*Result, error) {
+func (e *engine) runSequential() (*Result, error) {
+	if e.ctx.Err() != nil {
+		e.requestStop(StatusCanceled)
+		return e.partialResult(StatusCanceled)
+	}
 	s := e.shards[0]
 	for {
 		f, ok := s.bq.minF()
 		if !ok {
 			return e.drained()
 		}
-		for { // waves of layer f
-			if e.incumbentNow() <= f {
-				return e.complete()
-			}
-			if e.ctx.Err() != nil {
-				e.requestStop(StatusCanceled)
-			}
-			if st := e.stopStatus(); st != StatusComplete {
-				return e.partialResult(st, f, false)
-			}
-			if e.budgetSpent() {
-				return e.partialResult(StatusBudget, f, false)
-			}
-			s.expandWave(f)
-			if st := e.stopStatus(); st != StatusComplete {
-				return e.partialResult(st, f, true)
-			}
-			if len(s.worklist) == 0 {
-				break // layer exhausted; advance to the next f
-			}
-			s.settleWave()
+		if e.incumbentNow() <= f {
+			return e.complete()
 		}
-	}
-}
-
-// runParallel is the multi-worker driver: one goroutine per shard, each
-// running exactly one wave per command, with the coordinator (this
-// goroutine) owning layer advancement, termination detection and result
-// assembly. The command send and report receive bracket every wave, so
-// all cross-shard reads below (queues, counters, parents) happen on
-// quiescent memory.
-//
-//mpp:deterministic
-func (e *engine) runParallel() (*Result, error) {
-	w := e.nShards
-	cmds := make([]chan int64, w)
-	reps := make(chan struct{}, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		cmds[i] = make(chan int64, 1)
-		wg.Add(1)
-		go func(s *solver, cmd <-chan int64) {
-			defer wg.Done()
-			for f := range cmd {
-				s.expandWave(f)
-				s.flushAndMark()
-				s.applyWave()
-				s.settleWave()
-				reps <- struct{}{}
-			}
-		}(e.shards[i], cmds[i])
-	}
-	stopWorkers := func() {
-		for _, c := range cmds {
-			close(c)
-		}
-		wg.Wait()
-	}
-
-	for {
-		f, ok := e.globalMinF()
+		ent, ok := s.bq.popBucket(f)
 		if !ok {
-			stopWorkers()
-			return e.drained()
-		}
-		for { // waves of layer f
-			if e.incumbentNow() <= f {
-				stopWorkers()
-				return e.complete()
-			}
-			if e.ctx.Err() != nil {
-				e.requestStop(StatusCanceled)
-			}
-			if st := e.stopStatus(); st != StatusComplete {
-				stopWorkers()
-				return e.partialResult(st, f, false)
-			}
-			if e.budgetSpent() {
-				stopWorkers()
-				return e.partialResult(StatusBudget, f, false)
-			}
-			for i := 0; i < w; i++ {
-				cmds[i] <- f
-			}
-			for i := 0; i < w; i++ {
-				<-reps
-			}
-			if st := e.stopStatus(); st != StatusComplete {
-				stopWorkers()
-				return e.partialResult(st, f, true)
-			}
-			if !e.anyBucket(f) {
-				break // no shard refilled bucket f; layer exhausted
-			}
-		}
-	}
-}
-
-func (e *engine) globalMinF() (int64, bool) {
-	min := int64(math.MaxInt64)
-	any := false
-	for _, s := range e.shards {
-		if m, ok := s.bq.minF(); ok && m < min {
-			min, any = m, true
-		}
-	}
-	return min, any
-}
-
-func (e *engine) anyBucket(f int64) bool {
-	for _, s := range e.shards {
-		if s.bq.hasBucket(f) {
-			return true
-		}
-	}
-	return false
-}
-
-// expandWave drains this shard's bucket f and expands every live entry,
-// routing candidates to their owners. Stale entries (superseded g) and
-// already-expanded states are skipped without counting; goal entries
-// are skipped too — goals are proven at the layer barrier, never
-// expanded (and never settled, so dominance stays sound). An early-stop
-// flag abandons the remaining worklist; the drained entries' f == F
-// floor is restored by partialResult's midWave bound.
-func (s *solver) expandWave(f int64) {
-	e := s.eng
-	s.worklist = s.bq.takeBucket(f, s.worklist)
-	for _, ent := range s.worklist {
-		if e.stopStatus() != StatusComplete {
-			break
-		}
-		if ent.g > s.dist[ent.idx] || s.expandedMark[ent.idx] {
 			continue
 		}
-		s.cur = append(s.cur[:0], s.tab.Key(int(ent.idx))...)
-		if s.isGoal(s.cur) {
-			continue
+		if s.expandOne(ent, f) == expandStopped {
+			return e.partialResult(e.stopStatus())
 		}
-		s.pops++
-		if s.pops&ctxCheckMask == 0 && s.ctx.Err() != nil {
-			e.requestStop(StatusCanceled)
-			break
-		}
-		s.chargeExpansion()
-		s.expandedMark[ent.idx] = true
-		s.expanded++
-		s.waveExp = append(s.waveExp, ent.idx)
-		s.curIdx = ent.idx
-		s.expand(ent.g)
 	}
 }
 
-// settleWave registers the wave's expanded states in the dominance
-// index. Settling at the wave boundary (not per expansion) is what
-// makes the dominator set visible to any candidate a pure function of
-// the wave number — identical for every worker count. Soundness is
-// unaffected: a smaller dominator set only prunes less.
-func (s *solver) settleWave() {
-	if s.useDom {
+// expandOne processes one popped queue entry: skip it if stale, already
+// expanded or a goal; otherwise charge the budget and expand. When the
+// charge is refused (budget exhausted or context canceled) the entry is
+// pushed back so the frontier — and with it the anytime LowerBound —
+// stays complete.
+//
+//mpp:hotpath
+func (s *solver) expandOne(ent bqEntry, f int64) expandOutcome {
+	if ent.g > s.dist[ent.idx] || s.expandedMark[ent.idx] {
+		return expandSkipped
+	}
+	s.cur = append(s.cur[:0], s.tab.Key(int(ent.idx))...)
+	if s.isGoal(s.cur) {
+		// Goals are never expanded: their relaxation already offered the
+		// incumbent, and expanding one could only find costlier states.
+		return expandSkipped
+	}
+	s.pops++
+	if s.pops&ctxCheckMask == 0 && s.ctx.Err() != nil {
+		s.eng.requestStop(StatusCanceled)
+		s.bq.push(f, ent.idx, ent.g)
+		return expandStopped
+	}
+	if !s.countExpansion() {
+		s.bq.push(f, ent.idx, ent.g)
+		return expandStopped
+	}
+	s.expandedMark[ent.idx] = true
+	s.expanded++
+	if s.useDom && !s.settledMark[ent.idx] {
+		// Settle at first expansion; the mark keeps a reopened state
+		// from entering the dominance index twice.
+		s.settledMark[ent.idx] = true
 		k := s.in.K
-		for _, idx := range s.waveExp {
-			w := s.tab.Key(int(idx))
-			s.dom.add(w[k], w[k+1], idx)
-		}
+		s.dom.add(s.cur[k], s.cur[k+1], ent.idx)
 	}
-	s.waveExp = s.waveExp[:0]
+	s.curIdx = ent.idx
+	s.expand(ent.g)
+	return expandOK
 }
 
 // route appends a candidate to the outgoing batch for shard dst,
@@ -478,102 +337,7 @@ func (s *solver) route(dst int, cost int64, kind pebble.OpKind, choice []int) {
 	b.n++
 	if b.n >= batchStates {
 		s.out[dst] = nil
-		if s.async {
-			s.asyncShip(dst, b)
-		} else {
-			s.send(dst, b)
-		}
-	}
-}
-
-// send delivers a batch to dst's inbox. When the inbox is full the
-// sender drains its *own* inbox (buffering, not applying) instead of
-// blocking — a blocked sender that keeps its inbox empty can never
-// participate in a circular wait, so the bounded channels cannot
-// deadlock.
-func (s *solver) send(dst int, b *batch) {
-	e := s.eng
-	for {
-		select {
-		case e.inbox[dst] <- b:
-			return
-		default:
-			if !s.drainOne() {
-				runtime.Gosched()
-			}
-		}
-	}
-}
-
-// drainOne buffers one pending inbox batch, if any.
-func (s *solver) drainOne() bool {
-	select {
-	case b := <-s.eng.inbox[s.shard]:
-		s.accept(b)
-		return true
-	default:
-		return false
-	}
-}
-
-// accept buffers a received batch by source shard, or counts a flush
-// marker.
-func (s *solver) accept(b *batch) {
-	if b.flush {
-		s.markers++
-		s.eng.putBatch(b)
-		return
-	}
-	s.incoming[b.src] = append(s.incoming[b.src], b)
-}
-
-// flushAndMark ships this shard's partial batches and then one flush
-// marker to every shard (itself included — uniformity keeps the marker
-// count a plain W). Channel FIFO per sender means a received marker
-// proves all of that sender's wave batches arrived first.
-func (s *solver) flushAndMark() {
-	for dst, b := range s.out {
-		if b != nil {
-			s.out[dst] = nil
-			if b.n > 0 {
-				s.send(dst, b)
-			} else {
-				s.eng.putBatch(b)
-			}
-		}
-	}
-	for dst := 0; dst < s.eng.nShards; dst++ {
-		m := s.eng.getBatch(s.shard)
-		m.flush = true
-		s.send(dst, m)
-	}
-}
-
-// applyWave receives until every shard's flush marker arrived, then
-// applies the buffered batches in source-shard order (and per-source
-// FIFO). The order is fixed for reproducibility's sake, but no Result
-// field depends on it: relaxation is a min, so any apply order yields
-// the same distances, queue-bucket sets and incumbent.
-func (s *solver) applyWave() {
-	e := s.eng
-	for s.markers < e.nShards {
-		s.accept(<-e.inbox[s.shard])
-	}
-	s.markers = 0
-	wpk := stateWords(s.in.K)
-	for src := range s.incoming {
-		for _, b := range s.incoming[src] {
-			for i := 0; i < b.n; i++ {
-				var from stateRef
-				var mv pebble.Move
-				if s.witness {
-					from, mv = b.froms[i], b.moves[i]
-				}
-				s.applyRemote(b.words[i*wpk:(i+1)*wpk], b.costs[i], from, mv)
-			}
-			e.putBatch(b)
-		}
-		s.incoming[src] = s.incoming[src][:0]
+		s.asyncShip(dst, b)
 	}
 }
 
@@ -584,7 +348,7 @@ func (e *engine) getBatch(src int32) *batch {
 }
 
 func (e *engine) putBatch(b *batch) {
-	b.n, b.flush = 0, false
+	b.n = 0
 	b.words = b.words[:0]
 	b.costs = b.costs[:0]
 	b.froms = b.froms[:0]
@@ -603,7 +367,7 @@ func (e *engine) drained() (*Result, error) {
 	return nil, fmt.Errorf("opt: no pebbling found (unreachable for valid instances)")
 }
 
-// complete assembles the proven-optimal result: the layer barrier
+// complete assembles the proven-optimal result: the frontier minimum
 // reached the incumbent, so Cost == Incumbent == LowerBound.
 func (e *engine) complete() (*Result, error) {
 	inc := e.incumbentNow()
@@ -624,13 +388,13 @@ func (e *engine) complete() (*Result, error) {
 // partialResult assembles the anytime result of an early stop: the
 // incumbent (best feasible cost relaxed so far, -1 if none) and the
 // admissible frontier lower bound — the minimum f-value over *live*
-// queue entries across all shards, floored by the current layer's F
-// when the stop interrupted a wave (drained-but-unexpanded worklist
-// entries all have f == F). OPT is guaranteed to lie in [LowerBound,
-// Incumbent]; the incumbent clamp applies only when an incumbent
-// exists, so an incumbent-less partial reports the true frontier bound
-// (≥ 0) instead of being dragged to the -1 sentinel.
-func (e *engine) partialResult(st Status, f int64, midWave bool) (*Result, error) {
+// queue entries across all shards (an entry whose expansion was refused
+// is pushed back first, so nothing drops out of the frontier). OPT is
+// guaranteed to lie in [LowerBound, Incumbent]; the incumbent clamp
+// applies only when an incumbent exists, so an incumbent-less partial
+// reports the true frontier bound (≥ 0) instead of being dragged to the
+// -1 sentinel.
+func (e *engine) partialResult(st Status) (*Result, error) {
 	states := e.statesTotal()
 	res := &Result{Cost: -1, States: states, Status: st, Incumbent: -1,
 		Pruned: e.prunedTotal(), ReExpanded: e.reopenedTotal(),
@@ -640,9 +404,6 @@ func (e *engine) partialResult(st Status, f int64, midWave bool) (*Result, error
 		if m, ok := s.liveMinF(); ok && m < lb {
 			lb = m
 		}
-	}
-	if midWave && f < lb {
-		lb = f
 	}
 	if inc := e.incumbentNow(); inc < math.MaxInt64 {
 		res.Incumbent, res.Cost = inc, inc
@@ -669,10 +430,8 @@ func (e *engine) partialResult(st Status, f int64, midWave bool) (*Result, error
 // liveMinF scans this shard's queue for the smallest f-bucket holding a
 // live entry — one whose g still matches the state's distance and whose
 // state is unexpanded. Stale duplicates (superseded relaxations) are
-// queue garbage whose presence depends on within-wave apply order, so
-// the anytime LowerBound must not see them; filtering keeps the bound
-// both admissible and worker-count-invariant. Cold path: runs once, at
-// an early stop.
+// queue garbage, not frontier states, so the anytime LowerBound must
+// not see them. Cold path: runs once, at an early stop.
 func (s *solver) liveMinF() (int64, bool) {
 	for fi := s.bq.cur; fi < len(s.bq.buckets); fi++ {
 		for _, ent := range s.bq.buckets[fi] {

@@ -3,27 +3,28 @@ package opt
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/pebble"
 )
 
-// Tests of the sharded wave-synchronous engine: byte-identical results
-// across worker counts, oracle equivalence at each worker count, the
-// anytime contract under sharding, and the incumbent-less LowerBound
-// regression (ISSUE 5).
+// Tests of the deterministic engine across Config.Workers values:
+// ModeDeterministic always runs the sequential engine, so every Result
+// field is identical at every worker count. Also the oracle equivalence
+// at each worker count, the anytime contract, and the incumbent-less
+// LowerBound regression (ISSUE 5). The async sharded engine reuses
+// workerSweep (async_test.go).
 
-// workerSweep is the worker-count grid the determinism tests run: the
-// inline path, two even splits, and a prime that exercises uneven
-// shard ownership.
+// workerSweep is the worker-count grid the tests run: the one-worker
+// value, two even splits, and a prime that exercises uneven shard
+// ownership in ModeAsync.
 var workerSweep = []int{1, 2, 4, 7}
 
-// TestExactWorkersMatchSequentialZoo locks the parallel solver to the
-// single-worker run for every zoo case and worker count: Cost, States,
-// Status, Incumbent, LowerBound and Pruned must all be byte-identical.
-// Pruned is unconditional since the dead-state share started counting
-// distinct dead states (order-independent) instead of improvement
-// events — the ISSUE 6 stats unification.
+// TestExactWorkersMatchSequentialZoo locks every worker count to the
+// single-worker run for every zoo case: the whole Result — Cost,
+// States, Status, Incumbent, LowerBound, Pruned and ReExpanded — must
+// be identical.
 func TestExactWorkersMatchSequentialZoo(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
@@ -34,22 +35,17 @@ func TestExactWorkersMatchSequentialZoo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: workers=1: %v", c.name, err)
 		}
+		if want.ReExpanded != 0 {
+			t.Errorf("%s: sequential run reopened %d states, want 0 under a consistent heuristic", c.name, want.ReExpanded)
+		}
 		for _, w := range workerSweep[1:] {
 			cfg.Workers = w
 			got, err := ExactWith(ctx, in, cfg)
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", c.name, w, err)
 			}
-			if got.Cost != want.Cost || got.States != want.States ||
-				got.Status != want.Status || got.Incumbent != want.Incumbent ||
-				got.LowerBound != want.LowerBound {
-				t.Errorf("%s: workers=%d (cost %d states %d status %v inc %d lb %d) ≠ workers=1 (cost %d states %d status %v inc %d lb %d)",
-					c.name, w, got.Cost, got.States, got.Status, got.Incumbent, got.LowerBound,
-					want.Cost, want.States, want.Status, want.Incumbent, want.LowerBound)
-			}
-			if got.Pruned != want.Pruned {
-				t.Errorf("%s: workers=%d pruned %d ≠ workers=1 pruned %d",
-					c.name, w, got.Pruned, want.Pruned)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: workers=%d %+v ≠ workers=1 %+v", c.name, w, got, want)
 			}
 		}
 	}
@@ -84,16 +80,15 @@ func TestExactWorkersMatchOracleZoo(t *testing.T) {
 	}
 }
 
-// TestExactWorkersWitness checks the witness contract under sharding:
-// the strategy must replay to exactly the (worker-count-invariant)
-// optimal cost. The move sequence itself may differ across worker
-// counts — parent ties resolve by apply order — so only cost and
-// validity are asserted.
+// TestExactWorkersWitness checks the witness contract at every worker
+// count: the strategy must replay to exactly the optimal cost, and —
+// the engine being sequential whatever Workers says — the move sequence
+// itself must be identical to the single-worker one.
 func TestExactWorkersWitness(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		var optCost int64 = -1
+		var first *pebble.Strategy
 		for _, w := range workerSweep {
 			cfg := DefaultConfig(budget)
 			cfg.Witness = true
@@ -113,10 +108,10 @@ func TestExactWorkersWitness(t *testing.T) {
 				t.Errorf("%s: workers=%d: strategy replays to %d, result says %d",
 					c.name, w, rep.Cost, res.Cost)
 			}
-			if optCost < 0 {
-				optCost = res.Cost
-			} else if res.Cost != optCost {
-				t.Errorf("%s: workers=%d: cost %d ≠ workers=1 cost %d", c.name, w, res.Cost, optCost)
+			if first == nil {
+				first = res.Strategy
+			} else if !reflect.DeepEqual(res.Strategy, first) {
+				t.Errorf("%s: workers=%d: strategy differs from the workers=1 strategy", c.name, w)
 			}
 		}
 	}
@@ -153,8 +148,8 @@ func TestExactPartialLowerBoundRegression(t *testing.T) {
 
 // TestExactParallelAnytimeBracket sweeps budgets at several worker
 // counts: each partial bracket must contain the true optimum, and the
-// bracket must be byte-identical to the single-worker bracket at the
-// same budget (budget stops land on deterministic wave boundaries).
+// bracket must be identical to the single-worker bracket at the same
+// budget (a budget stop is a pure function of the budget).
 func TestExactParallelAnytimeBracket(t *testing.T) {
 	ctx := context.Background()
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p) // grid2x3

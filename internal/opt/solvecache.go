@@ -8,8 +8,11 @@ package opt
 // same deterministic solve would have produced fresh, which rests on
 // two engine invariants — complete Results are pure functions of
 // (instance, Heuristic, Dominance, Witness), and deterministic partials
-// are additionally pure functions of MaxStates (budget stops happen at
-// wave boundaries, PR 6). Hence the write policy:
+// are additionally pure functions of MaxStates (the sequential engine
+// stops after exactly MaxStates expansions). A change to the engine
+// that moves any Result field must bump the fingerprint's key version
+// (internal/cache), or a persisted file store would serve the old
+// engine's Results. Hence the write policy:
 //
 //   - Only ModeDeterministic runs populate the cache. Async Results are
 //     exact in Cost/Status but carry timing-dependent statistics; caching

@@ -37,6 +37,11 @@ type Scheduler struct {
 	queue   chan item
 	wg      sync.WaitGroup
 
+	// jobWorkers caps the shard workers of one ModeAsync solve, so the
+	// pool's workers × each job's workers stay within GOMAXPROCS. Set by
+	// Start before any worker runs.
+	jobWorkers int
+
 	mu      sync.Mutex
 	running map[string]context.CancelFunc // mpp:guardedby mu
 }
@@ -62,13 +67,32 @@ func NewScheduler(store JobStore, sc *opt.SolveCache, m *Metrics, queueDepth int
 // children) and the workers exit once the queue stops yielding work.
 // Call Wait to join.
 func (s *Scheduler) Start(ctx context.Context, n int) {
+	procs := runtime.GOMAXPROCS(0)
 	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
+		n = procs
 	}
+	s.jobWorkers = jobWorkers(n, procs)
 	for i := 0; i < n; i++ {
 		s.wg.Add(1)
 		go s.worker(ctx)
 	}
+}
+
+// jobWorkers is the shard-worker budget of one ModeAsync solve on a pool
+// of n server workers: the CPUs left per concurrent solve, at least 1.
+// Deterministic solves are single-threaded and need no budget.
+func jobWorkers(n, procs int) int {
+	return max(1, procs/n)
+}
+
+// clampWorkers bounds a job's async shard workers to the pool's
+// per-solve budget; a non-positive request (GOMAXPROCS, the default)
+// gets the whole budget.
+func clampWorkers(cfg opt.Config, budget int) opt.Config {
+	if cfg.Mode == opt.ModeAsync && (cfg.Workers <= 0 || cfg.Workers > budget) {
+		cfg.Workers = budget
+	}
+	return cfg
 }
 
 // Wait blocks until every worker has exited (after their ctx is
@@ -175,7 +199,7 @@ func (s *Scheduler) run(ctx context.Context, it item) {
 	s.mu.Unlock()
 
 	start := time.Now()
-	res, serr := opt.SolveCached(jctx, it.in, it.cfg, s.cache)
+	res, serr := opt.SolveCached(jctx, it.in, clampWorkers(it.cfg, s.jobWorkers), s.cache)
 	elapsed := time.Since(start)
 
 	s.mu.Lock()

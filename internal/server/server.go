@@ -21,7 +21,10 @@ type Options struct {
 	// disables memoization (each solve runs fresh).
 	Cache *opt.SolveCache
 	// Workers bounds concurrent solves; 0 means GOMAXPROCS (resolved by
-	// the scheduler at Start).
+	// the scheduler at Start). A "mode":"async" solve shards across at
+	// most GOMAXPROCS/Workers goroutines (at least 1), so concurrent
+	// solves never oversubscribe the CPUs; deterministic solves are
+	// single-threaded.
 	Workers int
 	// QueueDepth bounds jobs waiting beyond the ones being solved;
 	// submissions past the bound are rejected with 429, not blocked.

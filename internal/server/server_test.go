@@ -499,3 +499,38 @@ func TestConcurrentSubmissions(t *testing.T) {
 		}
 	}
 }
+
+// TestAsyncJobWorkerClamp: a pool of n server workers on procs CPUs
+// gives each async solve at most procs/n shard workers (at least one),
+// so n × job workers never exceeds procs; deterministic jobs, which are
+// single-threaded, keep their config untouched.
+func TestAsyncJobWorkerClamp(t *testing.T) {
+	for _, c := range []struct{ n, procs, want int }{
+		{1, 1, 1}, {2, 2, 1}, {1, 8, 8}, {2, 8, 4}, {3, 8, 2}, {16, 8, 1},
+	} {
+		if got := jobWorkers(c.n, c.procs); got != c.want {
+			t.Errorf("jobWorkers(%d, %d) = %d, want %d", c.n, c.procs, got, c.want)
+		}
+	}
+	for n := 1; n <= 9; n++ {
+		for procs := 1; procs <= 9; procs++ {
+			w := jobWorkers(n, procs)
+			if w < 1 || (n <= procs && n*w > procs) {
+				t.Errorf("jobWorkers(%d, %d) = %d: oversubscribes or starves", n, procs, w)
+			}
+		}
+	}
+	for _, c := range []struct{ req, budget, want int }{
+		{0, 4, 4}, {-1, 4, 4}, {2, 4, 2}, {4, 4, 4}, {9, 4, 4}, {3, 1, 1},
+	} {
+		cfg := opt.DefaultConfig(0)
+		cfg.Mode, cfg.Workers = opt.ModeAsync, c.req
+		if got := clampWorkers(cfg, c.budget).Workers; got != c.want {
+			t.Errorf("async Workers=%d under budget %d: clamped to %d, want %d", c.req, c.budget, got, c.want)
+		}
+	}
+	det := opt.DefaultConfig(0)
+	if got := clampWorkers(det, 2); got != det {
+		t.Errorf("deterministic config changed by the clamp: %+v → %+v", det, got)
+	}
+}

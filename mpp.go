@@ -73,19 +73,20 @@ type (
 	// stopped it.
 	SearchStatus = opt.Status
 	// SearchConfig selects the exact solver's heuristic mode, pruning
-	// switches, shard-worker count (Workers: 0 = GOMAXPROCS) and engine
-	// mode (Mode: deterministic runs are byte-identical at every worker
-	// count, async trades that determinism for multicore throughput);
-	// the zero value is the bare compute floor with pruning off,
-	// opt.DefaultConfig the full stack.
+	// switches and engine mode (Mode: the deterministic engine is
+	// sequential, its Results pure functions of instance and config;
+	// async shards across Workers goroutines, 0 = GOMAXPROCS, trading
+	// that determinism for multicore throughput); the zero value is the
+	// bare compute floor with pruning off, opt.DefaultConfig the full
+	// stack.
 	SearchConfig = opt.Config
 	// HeuristicMode picks the admissible cost-to-go bound (floor | io |
 	// max) the exact search runs under.
 	HeuristicMode = opt.HeuristicMode
-	// SearchMode selects the exact engine: ModeDeterministic (wave-
-	// synchronous, byte-identical statistics at every worker count) or
-	// ModeAsync (speculative HDA*, same proven optima, timing-dependent
-	// statistics — see DESIGN.md §6).
+	// SearchMode selects the exact engine: ModeDeterministic (sequential
+	// A*, statistics a pure function of instance and config) or
+	// ModeAsync (sharded speculative HDA*, same proven optima,
+	// timing-dependent statistics — see DESIGN.md §6).
 	SearchMode = opt.Mode
 	// BatchResult pairs one instance's OptResult with its solve error in
 	// a SolveBatch result set.

@@ -8,7 +8,7 @@
 #   scripts/bench.sh my.json           # custom output path
 #   QUICK=1 scripts/bench.sh           # shorter sampling windows
 #   BENCHTIME=5x scripts/bench.sh      # longer go-test benches
-#   WORKERS=1,2,4,8 scripts/bench.sh   # sharded-solver sweep widths
+#   WORKERS=1,2,4,8 scripts/bench.sh   # async sharded-solver sweep widths
 #   MODES=deterministic scripts/bench.sh  # skip the async engine rows
 #   CACHE=false scripts/bench.sh       # skip the solve-cache hit rows
 #
@@ -30,10 +30,10 @@ go test -run 'xxx' -bench . -benchmem -benchtime "${BENCHTIME:-1x}" .
 prev=$(ls BENCH_*.json 2>/dev/null | grep -vF "$out" | sort | tail -1 || true)
 
 echo "== mppbench -> $out =="
-# WORKERS sets the sharded-solver sweep (-wN rows with a speedup column
-# vs the -w1 baseline) and MODES which engines it runs (deterministic
-# states stay byte-identical across the sweep and are diff-gated at
-# +20%; async rows are timing-dependent and gated at +50%).
+# WORKERS sets the async sharded-solver sweep (-wN rows with a speedup
+# column vs the -w1 baseline) and MODES which engines run (the
+# deterministic engine is sequential and gets one -w1 row, diff-gated
+# at +20% states; async rows are timing-dependent and gated at +50%).
 # CACHE gates the solve-cache hit-latency rows (cache group), -diff-
 # gated on ns/op with a 10x tolerance rather than states expanded.
 go run ./cmd/mppbench ${QUICK:+-quick} -workers "${WORKERS:-1,2,4}" -modes "${MODES:-deterministic,async}" -cache="${CACHE:-true}" -out "$out" ${prev:+-diff "$prev"}

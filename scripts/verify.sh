@@ -34,20 +34,21 @@ echo "== go test =="
 go test ${SHORT:+-short} ./...
 
 echo "== go test -race =="
-# The sharded exact solver (opt.Config.Workers > 1) routes states across
-# shard goroutines over channels with an atomic incumbent/budget — so
-# internal/opt runs its FULL race suite (the determinism sweep over
-# Workers ∈ {1,2,4,7} AND the async-engine equivalence properties —
-# TestAsyncMatchesDeterministicZoo, TestAsyncWitnessReplays,
-# TestAsyncPartialBudgetBracket, TestAsyncCancel — included; ~2.5 min
-# under -race). exp only fans out coarse-grained experiment goroutines
-# and stays -short.
+# The sharded async exact solver (opt.Config.Mode = ModeAsync,
+# Workers > 1) routes states across shard goroutines over channels with
+# an atomic incumbent/budget — so internal/opt runs its FULL race suite:
+# the async-engine equivalence properties (TestAsyncMatchesDeterministicZoo,
+# TestAsyncWitnessReplays, TestAsyncPartialBudgetBracket, TestAsyncCancel)
+# and the deterministic engine's Workers-invariance and exact-budget
+# tests, which pin that the sequential engine shares no state across
+# solves. exp only fans out coarse-grained experiment goroutines and
+# stays -short.
 go test -race ./internal/opt/
 # The solve cache is a shared mutex-guarded LRU hit by concurrent
 # solvers (and its fingerprint property tests are zoo-wide), so it runs
 # its full suite under -race too.
 go test -race ./internal/cache/
-# The state tables back every shard of the parallel engines; their
+# The state tables back every shard of the async engine; their
 # suite (including the open-addressing growth and shard-routing
 # properties) runs fully under -race as well.
 go test -race ./internal/hashtab/
