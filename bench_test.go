@@ -142,10 +142,12 @@ func BenchmarkExactSolverGridTwoProc(b *testing.B) {
 func BenchmarkExactWitnessGridTwoProc(b *testing.B) {
 	g := gen.Grid2D(2, 3)
 	in := pebble.MustInstance(g, pebble.MPP(2, 3, 2))
+	cfg := opt.DefaultConfig(10_000_000)
+	cfg.Witness = true
 	b.ReportAllocs()
 	states := 0
 	for i := 0; i < b.N; i++ {
-		res, err := opt.ExactWithStrategy(in, 10_000_000)
+		res, err := opt.ExactWith(context.Background(), in, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,10 +170,10 @@ func BenchmarkZeroIODecision(b *testing.B) {
 	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 }
 
-// BenchmarkZeroIOBigCliqueSearch is the E12/E13 inner loop: the Theorem 2
+// BenchmarkZeroIOCliqueSearch is the E12/E13 inner loop: the Theorem 2
 // reduction DAG for C4 (no 3-clique), where the zero-I/O search must
 // exhaust its whole pruned space to answer "no".
-func BenchmarkZeroIOBigCliqueSearch(b *testing.B) {
+func BenchmarkZeroIOCliqueSearch(b *testing.B) {
 	c4 := hardness.MustUGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	red, err := hardness.BuildCliqueReduction(c4, 3)
 	if err != nil {
@@ -181,7 +183,7 @@ func BenchmarkZeroIOBigCliqueSearch(b *testing.B) {
 	b.ResetTimer()
 	states := 0
 	for i := 0; i < b.N; i++ {
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 10_000_000)
+		res, err := opt.ZeroIO(red.Graph, red.R, 10_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,8 +41,8 @@
 // loud warning and stamps the snapshot's "sweep_warning" field so the
 // JSON can never be mistaken for a multicore result.
 //
-// The batch-zoo3-w1 benchmark drives three instances of mixed k through
-// opt.SolveBatch, measuring the pooled-arena path end to end.
+// The batch-zoo3-w1 benchmark solves three instances of mixed k back to
+// back through opt.ExactWith, measuring the pooled-arena path end to end.
 //
 // The cache group (disable with -cache=false) measures the
 // content-addressable solve cache's hit path: each cached-* row primes
@@ -378,7 +378,7 @@ func main() {
 		add(measure("exact-grid3x3-k1", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			res, err := opt.ExactCtx(ctx, gridK1, states(10_000_000))
+			res, err := opt.ExactWith(ctx, gridK1, opt.DefaultConfig(states(10_000_000)))
 			if err != nil {
 				return 0, annotateGap(res, err)
 			}
@@ -394,29 +394,31 @@ func main() {
 		zipIn := pebble.MustInstance(zipg, pebble.MPP(1, 4, 5))
 		exactModes("exact-zipper2x3-k1-g5", zipIn, 10_000_000)
 		exactWorkers("exact-zipper2x3-k1-g5", zipIn, 10_000_000)
-		// The pooled batch path: three instances of mixed k (the packed
+		// The pooled-arena path: three instances of mixed k (the packed
 		// key width changes between them, the arena-reuse guard's hard
-		// case) through one SolveBatch call. Deterministic at one worker,
-		// so the summed expansion count is -diff-gated like any solver row.
+		// case) solved back to back. Deterministic, so the summed
+		// expansion count is -diff-gated like any solver row.
 		batchIns := []*pebble.Instance{gridK2, zipIn, gridK1}
 		add(measure("batch-zoo3-w1", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
 			cfg := opt.DefaultConfig(states(10_000_000))
-			cfg.Workers = 1
 			total := 0
-			for _, br := range opt.SolveBatch(ctx, batchIns, cfg) {
-				if br.Err != nil {
-					return 0, annotateGap(br.Result, br.Err)
+			for _, in := range batchIns {
+				res, err := opt.ExactWith(ctx, in, cfg)
+				if err != nil {
+					return 0, annotateGap(res, err)
 				}
-				total += br.Result.States
+				total += res.States
 			}
 			return total, nil
 		}))
 		add(measure("exact-witness-grid2x3-k2", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			res, err := opt.ExactWithStrategyCtx(ctx, gridK2, states(10_000_000))
+			cfg := opt.DefaultConfig(states(10_000_000))
+			cfg.Witness = true
+			res, err := opt.ExactWith(ctx, gridK2, cfg)
 			if err != nil {
 				return 0, annotateGap(res, err)
 			}
@@ -442,7 +444,7 @@ func main() {
 		add(measure("zeroiobig-clique-C4-q3", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			res, err := opt.ZeroIOBigCtx(ctx, red.Graph, red.R, states(10_000_000))
+			res, err := opt.ZeroIOCtx(ctx, red.Graph, red.R, states(10_000_000))
 			if err != nil {
 				return 0, err
 			}

@@ -152,7 +152,7 @@ func TestCliqueEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 40_000_000)
+		res, err := opt.ZeroIO(red.Graph, red.R, 40_000_000)
 		if err != nil {
 			t.Fatalf("%s: search: %v", name, err)
 		}

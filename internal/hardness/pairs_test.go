@@ -25,7 +25,7 @@ func TestMatchedPairsSeparate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 30_000_000)
+		res, err := opt.ZeroIO(red.Graph, red.R, 30_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,7 +60,7 @@ func TestQ4Pair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 80_000_000)
+		res, err := opt.ZeroIO(red.Graph, red.R, 80_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

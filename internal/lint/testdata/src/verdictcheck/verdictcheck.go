@@ -4,6 +4,8 @@
 package verdicttest
 
 import (
+	"context"
+
 	"repro/internal/dag"
 	"repro/internal/opt"
 	"repro/internal/pebble"
@@ -23,6 +25,12 @@ func Blank(g *dag.Graph) error {
 // CostOnly reads Cost off a possibly-partial result and drops the error.
 func CostOnly(in *pebble.Instance) int64 {
 	res, _ := opt.Exact(in, 10) // want "verdictcheck: Status/Verdict of Exact result res never consulted"
+	return res.Cost
+}
+
+// ConfigCostOnly reads Cost off an ExactWith result and drops the error.
+func ConfigCostOnly(ctx context.Context, in *pebble.Instance) int64 {
+	res, _ := opt.ExactWith(ctx, in, opt.DefaultConfig(10)) // want "verdictcheck: Status/Verdict of ExactWith result res never consulted"
 	return res.Cost
 }
 

@@ -10,8 +10,9 @@ import (
 // yes nor no, so the caller must look at Status/Verdict (or hand the
 // result to something that does) before trusting Cost or Feasible.
 //
-// For every call to a solver entry point (opt.Exact*, opt.ZeroIO*, and
-// their facade re-exports) the analyzer requires that the returned
+// For every call to a solver entry point (the opt.Exact and opt.ZeroIO
+// families listed in verdictFuncs, and their facade re-exports) the
+// analyzer requires that the returned
 // result is (a) not discarded — not an expression statement, not
 // assigned to _ — and (b) consulted: at least one use of the result
 // variable reads .Status or .Verdict, checks the paired error, or lets
@@ -30,14 +31,11 @@ var VerdictCheck = &Analyzer{
 // keyed by defining package path.
 var verdictFuncs = map[string]map[string]bool{
 	"repro/internal/opt": {
-		"Exact": true, "ExactCtx": true,
-		"ExactWithStrategy": true, "ExactWithStrategyCtx": true,
-		"ExactOracle": true, "ExactWithStrategyOracle": true,
-		"ZeroIO": true, "ZeroIOCtx": true,
-		"ZeroIOBig": true, "ZeroIOBigCtx": true, "ZeroIOBigOracle": true,
+		"Exact": true, "ExactWith": true, "ExactOracleWith": true,
+		"ZeroIO": true, "ZeroIOCtx": true, "ZeroIOOracle": true,
 	},
 	"repro": {
-		"Exact": true, "ExactCtx": true,
+		"Exact": true, "ExactWith": true,
 		"ZeroIO": true, "ZeroIOCtx": true,
 	},
 }

@@ -3,8 +3,10 @@ package opt
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/pebble"
 )
@@ -92,7 +94,9 @@ func TestExactAnytimeBudget(t *testing.T) {
 
 	// Witness mode under budget: any strategy handed back must replay to
 	// the incumbent, not to garbage.
-	res, err := ExactWithStrategy(in, 200)
+	wcfg := DefaultConfig(200)
+	wcfg.Witness = true
+	res, err := ExactWith(context.Background(), in, wcfg)
 	if errors.Is(err, ErrBudget) && res.Strategy != nil {
 		rep, rerr := pebble.Replay(in, res.Strategy)
 		if rerr != nil {
@@ -109,7 +113,7 @@ func TestExactAnytimeCancel(t *testing.T) {
 	in := pebble.MustInstance(g, pebble.MPP(2, 3, 2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ExactCtx(ctx, in, budget)
+	res, err := ExactWith(ctx, in, DefaultConfig(budget))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: error %v does not wrap context.Canceled", err)
 	}
@@ -132,7 +136,7 @@ func TestExactOraclePartialEquivalence(t *testing.T) {
 	in := pebble.MustInstance(g, pebble.MPP(1, 4, 2))
 	for _, max := range []int{1, 5, 50, 500, 5000} {
 		got, gerr := Exact(in, max)
-		want, werr := ExactOracle(in, max)
+		want, werr := ExactOracleWith(in, DefaultConfig(max))
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("budget %d: table err %v, oracle err %v", max, gerr, werr)
 		}
@@ -146,9 +150,90 @@ func TestExactOraclePartialEquivalence(t *testing.T) {
 	}
 }
 
+// TestZeroIOAnytime pins the zero-I/O budget and cancellation contract,
+// mirroring TestBudgetStopExact: a budget stop has States == maxStates
+// exactly behind an ErrBudget-wrapped error and an indeterminate verdict,
+// a budget equal to the full count (or a non-positive one) completes
+// with the identical Result, and complete runs carry definite verdicts.
 func TestZeroIOAnytime(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *dag.Graph
+		r    int
+	}{
+		// Tight: forces real search before the infeasible verdict.
+		{"pyramid4-r5", gen.Pyramid(4), 5},
+		{"pyramid4-r6", gen.Pyramid(4), 6},
+		{"grid3x3-r4", gen.Grid2D(3, 3), 4},
+		{"twolayer-r5", gen.TwoLayerRandom(4, 5, 0.5, 3), 5},
+	}
+	for _, c := range cases {
+		full, err := ZeroIO(c.g, c.r, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if full.Status != StatusComplete || full.Verdict != verdictOf(full.Feasible) {
+			t.Fatalf("%s: complete run %+v has no definite verdict", c.name, full)
+		}
+		if full.States < 2 {
+			t.Fatalf("%s: only %d states explored; pick a harder case", c.name, full.States)
+		}
+		for _, max := range sampledBudgets(full.States) {
+			res, err := ZeroIO(c.g, c.r, max)
+			if !errors.Is(err, ErrBudget) || !IsPartial(err) {
+				t.Fatalf("%s budget=%d: error %v does not wrap ErrBudget", c.name, max, err)
+			}
+			if res == nil || res.Verdict != VerdictIndeterminate || res.Status != StatusBudget {
+				t.Fatalf("%s budget=%d: result %+v, want indeterminate/StatusBudget", c.name, max, res)
+			}
+			if res.States != max {
+				t.Errorf("%s budget=%d: %d states explored, want exactly %d", c.name, max, res.States, max)
+			}
+			if res.Feasible || res.Order != nil {
+				t.Errorf("%s budget=%d: partial result claims a witness: %+v", c.name, max, res)
+			}
+		}
+		for _, max := range []int{full.States, 0, -1} {
+			res, err := ZeroIO(c.g, c.r, max)
+			if err != nil || !reflect.DeepEqual(res, full) {
+				t.Errorf("%s: budget %d: %+v (err %v), want the complete result %+v", c.name, max, res, err, full)
+			}
+		}
+	}
+
 	g := gen.Pyramid(4)
-	const r = 5 // tight: forces real search before the infeasible verdict
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := ZeroIOCtx(ctx, g, 5, budget)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx: error %v does not wrap context.Canceled", err)
+	}
+	if res == nil || res.Verdict != VerdictIndeterminate || res.Status != StatusCanceled {
+		t.Fatalf("cancelled ctx: result %+v, want indeterminate/StatusCanceled", res)
+	}
+
+	// Pyramid(4) needs h+2 = 6 pebbles: the verdict flips at r = 6.
+	res, err = ZeroIO(g, 5, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != VerdictInfeasible || res.Status != StatusComplete {
+		t.Fatalf("pyramid4 r=5: %+v, want infeasible/complete", res)
+	}
+	res, err = ZeroIO(g, 6, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != VerdictFeasible || !res.Feasible {
+		t.Fatalf("pyramid4 r=6: %+v, want feasible", res)
+	}
+}
+
+// TestZeroIOBigAnytime checks the budget and cancel contract on DAGs of
+// more than 64 nodes, where the computed set spans several bitset words.
+func TestZeroIOBigAnytime(t *testing.T) {
+	g := gen.Pyramid(11) // 78 nodes
+	const r = 12         // one short of h+2: infeasible, so the search cannot stop early
 
 	res, err := ZeroIO(g, r, 1)
 	if !errors.Is(err, ErrBudget) || !IsPartial(err) {
@@ -157,8 +242,8 @@ func TestZeroIOAnytime(t *testing.T) {
 	if res == nil || res.Verdict != VerdictIndeterminate || res.Status != StatusBudget {
 		t.Fatalf("budget 1: result %+v, want indeterminate/StatusBudget", res)
 	}
-	if res.Feasible || res.Order != nil {
-		t.Errorf("budget 1: partial result claims a witness: %+v", res)
+	if res.States != 1 || res.Feasible || res.Order != nil {
+		t.Errorf("budget 1: partial result %+v, want 1 state and no witness", res)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -171,63 +256,27 @@ func TestZeroIOAnytime(t *testing.T) {
 		t.Fatalf("cancelled ctx: result %+v, want indeterminate/StatusCanceled", res)
 	}
 
-	// Complete runs carry definite verdicts both ways.
-	res, err = ZeroIO(g, r, budget)
+	// Complete runs past one word carry definite verdicts both ways.
+	chain := gen.Chain(100)
+	res, err = ZeroIO(chain, 1, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != VerdictInfeasible || res.Status != StatusComplete {
-		t.Fatalf("pyramid4 r=%d: %+v, want infeasible/complete", r, res)
+		t.Fatalf("chain100 r=1: %+v, want infeasible/complete", res)
 	}
-	res, err = ZeroIO(g, r+1, budget)
+	res, err = ZeroIO(chain, 2, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != VerdictFeasible || !res.Feasible {
-		t.Fatalf("pyramid4 r=%d: %+v, want feasible", r+1, res)
+	if res.Verdict != VerdictFeasible || res.Status != StatusComplete || len(res.Order) != 100 {
+		t.Fatalf("chain100 r=2: %+v, want feasible/complete with a 100-node order", res)
 	}
 }
 
-func TestZeroIOBigAnytime(t *testing.T) {
-	g := gen.Pyramid(4)
-	const r = 5
-
-	res, err := ZeroIOBig(g, r, 1)
-	if !errors.Is(err, ErrBudget) || !IsPartial(err) {
-		t.Fatalf("budget 1: error %v does not wrap ErrBudget", err)
-	}
-	if res == nil || res.Verdict != VerdictIndeterminate || res.Status != StatusBudget {
-		t.Fatalf("budget 1: result %+v, want indeterminate/StatusBudget", res)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err = ZeroIOBigCtx(ctx, g, r, budget)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx: error %v does not wrap context.Canceled", err)
-	}
-	if res == nil || res.Verdict != VerdictIndeterminate || res.Status != StatusCanceled {
-		t.Fatalf("cancelled ctx: result %+v, want indeterminate/StatusCanceled", res)
-	}
-
-	// Small-mask and bitset variants agree on the decision and on the
-	// explored-state count for an in-capacity DAG.
-	small, err := ZeroIO(g, r, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := ZeroIOBig(g, r, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Feasible != big.Feasible {
-		t.Errorf("variants disagree: word %v, bitset %v", small.Feasible, big.Feasible)
-	}
-}
-
-// TestZeroIOWordBoundary sweeps the single-word capacity edge: n = 61
-// and 62 stay on the uint64-mask fast path, n = 63 and 64 must silently
-// dispatch to the bitset variant and still decide correctly.
+// TestZeroIOWordBoundary sweeps the 64-bit word edge of the computed-set
+// bitset and its memo keys: chains of 61 to 64 nodes must still decide
+// correctly and yield a witness that replays with zero I/O.
 func TestZeroIOWordBoundary(t *testing.T) {
 	for _, n := range []int{61, 62, 63, 64} {
 		g := gen.Chain(n)
@@ -258,18 +307,6 @@ func TestZeroIOWordBoundary(t *testing.T) {
 		}
 		if res2.Feasible || res2.Verdict != VerdictInfeasible {
 			t.Errorf("chain%d r=1: %+v, want infeasible", n, res2)
-		}
-		// Above capacity the dispatch target is ZeroIOBig; the two entry
-		// points must agree exactly.
-		if n > zeroIOWordCap {
-			big, err := ZeroIOBig(g, 2, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if big.Feasible != res.Feasible || big.States != res.States || !sameOrder(big.Order, res.Order) {
-				t.Errorf("chain%d: ZeroIO dispatch (states %d) ≠ ZeroIOBig (states %d)",
-					n, res.States, big.States)
-			}
 		}
 	}
 }

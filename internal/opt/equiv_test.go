@@ -49,7 +49,7 @@ func TestExactTableMatchesOracleZoo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := ExactOracle(in, budget)
+		want, err := ExactOracleWith(in, DefaultConfig(budget))
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", c.name, err)
 		}
@@ -59,11 +59,13 @@ func TestExactTableMatchesOracleZoo(t *testing.T) {
 		}
 		// Witness mode runs without shade canonicalization — a different
 		// state space, so it gets its own byte-identical comparison.
-		gw, err := ExactWithStrategy(in, budget)
+		wcfg := DefaultConfig(budget)
+		wcfg.Witness = true
+		gw, err := ExactWith(context.Background(), in, wcfg)
 		if err != nil {
 			t.Fatalf("%s: witness: %v", c.name, err)
 		}
-		ww, err := ExactWithStrategyOracle(in, budget)
+		ww, err := ExactOracleWith(in, wcfg)
 		if err != nil {
 			t.Fatalf("%s: witness oracle: %v", c.name, err)
 		}
@@ -178,7 +180,7 @@ func TestExactTableMatchesOracleQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := ExactOracle(in, budget)
+		want, err := ExactOracleWith(in, DefaultConfig(budget))
 		if err != nil {
 			return false
 		}
@@ -206,13 +208,13 @@ func sameOrder(a, b []dag.NodeID) bool {
 	return true
 }
 
-func checkZeroIOBigEquiv(t *testing.T, name string, g *dag.Graph, r int, max int) {
+func checkZeroIOEquiv(t *testing.T, name string, g *dag.Graph, r int, max int) {
 	t.Helper()
-	got, err := ZeroIOBig(g, r, max)
+	got, err := ZeroIO(g, r, max)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	want, err := ZeroIOBigOracle(g, r, max)
+	want, err := ZeroIOOracle(g, r, max)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
@@ -222,7 +224,7 @@ func checkZeroIOBigEquiv(t *testing.T, name string, g *dag.Graph, r int, max int
 	}
 }
 
-func TestZeroIOBigMatchesOracleZoo(t *testing.T) {
+func TestZeroIOMatchesOracleZoo(t *testing.T) {
 	cases := []struct {
 		name string
 		g    *dag.Graph
@@ -237,14 +239,14 @@ func TestZeroIOBigMatchesOracleZoo(t *testing.T) {
 		{"pyramid4-r5", gen.Pyramid(4), 5},
 	}
 	for _, c := range cases {
-		checkZeroIOBigEquiv(t, c.name, c.g, c.r, budget)
+		checkZeroIOEquiv(t, c.name, c.g, c.r, budget)
 	}
 }
 
-// TestZeroIOBigMatchesOracleCliquePairs runs the equivalence on the E12
-// matched clique pairs — the Theorem 2 reduction instances whose >62-node
-// DAGs and multi-word memo keys exercise the table the hardest.
-func TestZeroIOBigMatchesOracleCliquePairs(t *testing.T) {
+// TestZeroIOMatchesOracleCliquePairs runs the equivalence on the E12
+// matched clique pairs — the Theorem 2 reduction instances whose
+// multi-word memo keys exercise the table the hardest.
+func TestZeroIOMatchesOracleCliquePairs(t *testing.T) {
 	pairs := []struct {
 		name  string
 		graph *hardness.UGraph
@@ -261,14 +263,14 @@ func TestZeroIOBigMatchesOracleCliquePairs(t *testing.T) {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
 		wantFeasible := pc.graph.HasClique(q)
-		got, err := ZeroIOBig(red.Graph, red.R, 8_000_000)
+		got, err := ZeroIO(red.Graph, red.R, 8_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
 		if got.Feasible != wantFeasible {
 			t.Errorf("%s: feasible %v, want %v", pc.name, got.Feasible, wantFeasible)
 		}
-		checkZeroIOBigEquiv(t, pc.name, red.Graph, red.R, 8_000_000)
+		checkZeroIOEquiv(t, pc.name, red.Graph, red.R, 8_000_000)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package opt contains exact solvers for small pebbling instances:
 //
-//   - Exact: uniform-cost search over the configuration space, returning
-//     the true optimum cost OPT of an MPP (or SPP) instance. Exponential;
-//     intended for instances of ≤ ~12 nodes, where it serves as ground
-//     truth for the heuristics and the gadget experiments.
+//   - Exact / ExactWith: uniform-cost search over the configuration
+//     space, returning the true optimum cost OPT of an MPP (or SPP)
+//     instance. Exponential; intended for instances of ≤ ~12 nodes,
+//     where it serves as ground truth for the heuristics and the gadget
+//     experiments.
 //   - ZeroIO: a specialized decision procedure for "does a one-shot SPP
 //     pebbling of I/O cost 0 exist?" — the question made NP-hard by
 //     Theorem 2. It exploits that cost-0 one-shot pebblings are fully
@@ -23,9 +24,9 @@
 // but expansion counts and traces become timing-dependent.
 //
 // Solver arenas (table, queue, dominance index, scratch) are recycled
-// through a package-level pool across searches (see batch.go); callers
-// solving many instances back to back can use SolveBatch, but every
-// entry point benefits automatically.
+// through a package-level pool across searches (see pool.go), so a
+// caller solving many instances back to back just calls ExactWith in a
+// loop.
 package opt
 
 import (
@@ -75,7 +76,7 @@ type Result struct {
 	LowerBound int64
 
 	// Strategy is the reconstructed move sequence (present when the
-	// search was run via ExactWithStrategy; nil from Exact). On a partial
+	// search ran with Config.Witness; nil from Exact). On a partial
 	// result it replays to the incumbent cost, not the optimum.
 	Strategy *pebble.Strategy
 
@@ -136,7 +137,7 @@ type Config struct {
 	Mode Mode
 }
 
-// DefaultConfig is the configuration the plain Exact entry points run:
+// DefaultConfig is the configuration the Exact convenience call runs:
 // the max heuristic with dominance pruning on the sequential
 // deterministic engine — the fastest sound setup. Set Mode to ModeAsync
 // (and Workers) for the sharded multicore search.
@@ -157,48 +158,26 @@ func DefaultConfig(maxStates int) Config {
 // requirement still holds), and one-shot mode (the computed set joins the
 // search state).
 //
-// The plain entry points run the sequential deterministic engine. Use
-// ExactWith with Config.Mode = ModeAsync for the sharded parallel
-// search.
+// Exact runs the sequential deterministic engine without a deadline.
+// ExactWith takes a context and an explicit Config: a witness strategy,
+// another heuristic, or Config.Mode = ModeAsync for the sharded
+// parallel search.
 func Exact(in *pebble.Instance, maxStates int) (*Result, error) {
 	cfg := DefaultConfig(maxStates)
-	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ExactCtx
+	//lint:ignore ctxthread non-ctx convenience call; deadline-aware callers use ExactWith
 	return exact(context.Background(), in, cfg, nil)
 }
 
-// ExactCtx is Exact honoring a context: the search polls ctx and stops
-// with a partial (anytime) result when it is canceled or its deadline
-// passes, returning an error wrapping ctx.Err().
-func ExactCtx(ctx context.Context, in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	return exact(ctx, in, cfg, nil)
-}
-
-// ExactWith is Exact under an explicit Config — heuristic mode,
-// dominance pruning, witness reconstruction, the state budget and the
-// engine mode (with its worker count) are all caller-chosen. The
-// benchmark harness, the experiment harness and the per-mode
-// equivalence tests use it.
+// ExactWith is Exact under an explicit Config and a context —
+// heuristic mode, dominance pruning, witness reconstruction, the state
+// budget and the engine mode (with its worker count) are all
+// caller-chosen. The search polls ctx and stops with a partial (anytime)
+// result when it is canceled or its deadline passes, returning an error
+// wrapping ctx.Err(). Start from DefaultConfig for the plain Exact
+// search; set Config.Witness to reconstruct one optimal strategy (the
+// result replays to exactly the optimal cost, at slightly more memory
+// per state).
 func ExactWith(ctx context.Context, in *pebble.Instance, cfg Config) (*Result, error) {
-	return exact(ctx, in, cfg, nil)
-}
-
-// ExactWithStrategy is Exact additionally reconstructing one optimal
-// strategy (via parent pointers); the result replays to exactly the
-// optimal cost. Costs slightly more memory per state.
-func ExactWithStrategy(in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Witness = true
-	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ExactWithStrategyCtx
-	return exact(context.Background(), in, cfg, nil)
-}
-
-// ExactWithStrategyCtx is ExactWithStrategy honoring a context. On a
-// partial stop the returned strategy (if any) replays to the incumbent
-// cost.
-func ExactWithStrategyCtx(ctx context.Context, in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Witness = true
 	return exact(ctx, in, cfg, nil)
 }
 
@@ -209,7 +188,7 @@ func ExactWithStrategyCtx(ctx context.Context, in *pebble.Instance, maxStates in
 // worker.
 //
 // Runs with the default table recycle their solver arenas through the
-// package pool (see batch.go); oracle runs stay pool-free so a Ref never
+// package pool (see pool.go); oracle runs stay pool-free so a Ref never
 // masquerades as a reusable Table.
 func exact(ctx context.Context, in *pebble.Instance, cfg Config, newTab func() hashtab.Index) (*Result, error) {
 	n := in.Graph.N()
@@ -312,7 +291,7 @@ func (s *solver) computedWord(w []uint64) uint64 { return w[s.in.K+1] }
 
 // initScratch sizes the per-shard scratch buffers, reusing capacity left
 // by a previous search when the solver comes from the arena pool (see
-// batch.go). Called once per search, before any expansion. Stale scratch
+// pool.go). Called once per search, before any expansion. Stale scratch
 // content is harmless: every buffer is fully (re)written before it is
 // read — cur/cand by copy/append, choice by productRec, delChoice below,
 // and the option lists are always truncated to [:0] first.

@@ -138,7 +138,7 @@ func TestRootLowerBoundCliquePairs(t *testing.T) {
 		// On YES instances a zero-I/O pebbling exists, so OPT = 0 and the
 		// bound above is exactly tight; on NO instances OPT > 0 and 0 is
 		// still trivially admissible — both sides sit under Lemma 1.
-		if zres, err := ZeroIOBig(red.Graph, red.R, 8_000_000); err == nil && zres.Feasible {
+		if zres, err := ZeroIO(red.Graph, red.R, 8_000_000); err == nil && zres.Feasible {
 			if ub := bounds.Lemma1Upper(in); ub < 0 {
 				t.Errorf("%s: Lemma 1 upper bound overflowed: %d", pc.name, ub)
 			}

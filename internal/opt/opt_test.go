@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,9 +234,9 @@ func TestExactEmptyAndTooBig(t *testing.T) {
 	if res, err := Exact(inBig, budget); err == nil || res != nil {
 		t.Fatal("63-node instance accepted")
 	}
-	// ZeroIO auto-dispatches beyond the word cap instead of refusing.
+	// ZeroIO has no node cap: its computed-sets are bitsets.
 	if res, err := ZeroIO(big, 2, budget); err != nil || !res.Feasible {
-		t.Fatalf("ZeroIO on 63 nodes should dispatch to bitset variant: %v %v", res, err)
+		t.Fatalf("ZeroIO on 63 nodes: %v %v", res, err)
 	}
 }
 
@@ -286,27 +288,66 @@ func TestZeroIOWitnessReplays(t *testing.T) {
 	}
 }
 
+// TestZeroIOMatchesExactOneShot cross-validates the zero-I/O search
+// against the exact one-shot SPP solver: ZeroIO is feasible iff Exact
+// finds OPT = 0. Two-layer DAGs (sinks with identical predecessor sets
+// are twins) and in/out-trees make the twin and free-first prunings fire;
+// r sweeps from the max in-degree up to one past the feasibility
+// threshold, so both verdicts are compared on every graph.
 func TestZeroIOMatchesExactOneShot(t *testing.T) {
-	// Cross-validation: ZeroIO is feasible iff the exact one-shot SPP
-	// solver finds OPT = 0.
-	prop := func(seed int64) bool {
+	var graphs []*dag.Graph
+	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(5)
-		g := gen.RandomDAG(n, 0.35, 2, seed)
-		r := g.MaxInDegree() + 1 + rng.Intn(2)
-		zr, err := ZeroIO(g, r, budget)
-		if err != nil {
-			return false
-		}
-		in := pebble.MustInstance(g, pebble.OneShotSPP(r, 1))
-		res, err := Exact(in, budget)
-		if err != nil {
-			return false
-		}
-		return zr.Feasible == (res.Cost == 0)
+		graphs = append(graphs,
+			gen.RandomDAG(3+rng.Intn(6), 0.35, 2, seed),
+			gen.TwoLayerRandom(2+rng.Intn(3), 2+rng.Intn(4), 0.5, seed))
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	for d := 1; d <= 2; d++ {
+		graphs = append(graphs, gen.BinaryInTree(d), gen.BinaryOutTree(d))
+	}
+	cases := 0
+	for gi, g := range graphs {
+		tag := fmt.Sprintf("#%d %s", gi, g.Name())
+		if d := g.MaxInDegree(); d >= 1 {
+			// r = max in-degree cannot hold a node and its inputs.
+			zr, err := ZeroIO(g, d, budget)
+			if err != nil || zr.Feasible {
+				t.Errorf("%s r=%d: %+v (err %v), want infeasible", tag, d, zr, err)
+			}
+			cases++
+		}
+		feasibleSeen := false
+		for r := g.MaxInDegree() + 1; ; r++ {
+			zr, err := ZeroIO(g, r, budget)
+			if err != nil {
+				t.Fatalf("%s r=%d: %v", tag, r, err)
+			}
+			in := pebble.MustInstance(g, pebble.OneShotSPP(r, 1))
+			res, err := Exact(in, budget)
+			if err != nil {
+				t.Fatalf("%s r=%d: exact: %v", tag, r, err)
+			}
+			cases++
+			if zr.Feasible != (res.Cost == 0) {
+				t.Errorf("%s r=%d: ZeroIO feasible %v, exact one-shot OPT %d", tag, r, zr.Feasible, res.Cost)
+			}
+			if zr.Feasible {
+				rep, err := pebble.Replay(in, ZeroIOStrategy(g, zr.Order))
+				if err != nil || rep.Cost != 0 {
+					t.Errorf("%s r=%d: witness does not replay at cost 0 (%v)", tag, r, err)
+				}
+				if feasibleSeen {
+					break
+				}
+				feasibleSeen = true
+			}
+			if r > g.N()+1 {
+				t.Fatalf("%s: still infeasible at r=%d", tag, r)
+			}
+		}
+	}
+	if cases < 100 {
+		t.Errorf("only %d cases compared; want ≥ 100", cases)
 	}
 }
 
@@ -327,7 +368,7 @@ func TestZeroIOPyramidThreshold(t *testing.T) {
 	}
 }
 
-func TestExactWithStrategyWitness(t *testing.T) {
+func TestExactWitnessReplays(t *testing.T) {
 	// The reconstructed optimal strategy must replay at exactly the
 	// optimal cost, across a mix of tiny instances.
 	cases := []struct {
@@ -341,9 +382,11 @@ func TestExactWithStrategyWitness(t *testing.T) {
 		{"oneshot", gen.Chain(4), pebble.OneShotSPP(2, 2)},
 		{"spp-free-compute", gen.Grid2D(2, 2), pebble.SPP(3, 2)},
 	}
+	wcfg := DefaultConfig(budget)
+	wcfg.Witness = true
 	for _, c := range cases {
 		in := pebble.MustInstance(c.g, c.p)
-		res, err := ExactWithStrategy(in, budget)
+		res, err := ExactWith(context.Background(), in, wcfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -374,7 +417,9 @@ func TestQuickWitnessMatchesPlain(t *testing.T) {
 		g := gen.RandomDAG(3+rng.Intn(5), 0.3, 2, seed)
 		k := 1 + rng.Intn(2)
 		in := pebble.MustInstance(g, pebble.MPP(k, g.MaxInDegree()+1+rng.Intn(2), 1+rng.Intn(3)))
-		w, err := ExactWithStrategy(in, budget)
+		wcfg := DefaultConfig(budget)
+		wcfg.Witness = true
+		w, err := ExactWith(context.Background(), in, wcfg)
 		if err != nil {
 			return false
 		}

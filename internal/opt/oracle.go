@@ -13,20 +13,11 @@ import (
 // table. Because the traversal, tie-breaking (LIFO within each f-bucket
 // of the bucket queue) and pruning logic are shared and only the
 // state-identity structure is swapped, an oracle run must return
-// byte-identical results — (Cost, States) for Exact, (Feasible, States,
-// Order) for ZeroIOBig. The
-// equivalence tests assert exactly that on the DAG zoo and the Theorem 2
-// reduction instances; the oracles are ordinary non-test code (no build
-// tag) so the comparison compiles everywhere.
-
-// ExactOracle is Exact backed by the map-based reference state table.
-// Like Exact, it pins Workers to 1 so the pair stays comparable on any
-// machine.
-func ExactOracle(in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Workers = 1
-	return ExactOracleWith(in, cfg)
-}
+// byte-identical results — the whole Result for ExactWith, (Feasible,
+// States, Order) for ZeroIO. The equivalence tests assert exactly that
+// on the DAG zoo and the Theorem 2 reduction instances; the oracles are
+// ordinary non-test code (no build tag) so the comparison compiles
+// everywhere.
 
 // ExactOracleWith is ExactWith backed by the map-based reference state
 // table, so every Config combination — heuristic mode, dominance,
@@ -37,21 +28,12 @@ func ExactOracleWith(in *pebble.Instance, cfg Config) (*Result, error) {
 	return exact(context.Background(), in, cfg, func() hashtab.Index { return hashtab.NewRef(stateWords(in.K)) })
 }
 
-// ExactWithStrategyOracle is ExactWithStrategy backed by the map-based
-// reference state table.
-func ExactWithStrategyOracle(in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Witness = true
-	cfg.Workers = 1
-	return ExactOracleWith(in, cfg)
-}
-
-// ZeroIOBigOracle is ZeroIOBig backed by the map-based reference memo.
-func ZeroIOBigOracle(g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
+// ZeroIOOracle is ZeroIO backed by the map-based reference memo.
+func ZeroIOOracle(g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
 	words := (g.N() + 63) / 64
 	if words == 0 {
 		words = 1
 	}
 	//lint:ignore ctxthread oracle runs are equivalence-test support and never deadline-bound
-	return zeroIOBig(context.Background(), g, r, maxStates, hashtab.NewRef(words))
+	return zeroIO(context.Background(), g, r, maxStates, hashtab.NewRef(words))
 }

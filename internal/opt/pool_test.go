@@ -1,8 +1,14 @@
 package opt
 
+// Tests of the solver arena pool. Its correctness bar is byte-identity:
+// a pool-recycled solver must be indistinguishable from a fresh one,
+// which the map-backed oracle (never pooled, see pool.go) provides the
+// clean baseline for. Its memory bar is the retention cap.
+
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -24,7 +30,7 @@ func drainSolverPool() []*solver {
 }
 
 // TestReleaseDropsOversizedArenas is the pool-retention regression test:
-// a batch mixing one huge search with small ones must not leave the
+// a run of solves mixing one huge search with small ones must not leave the
 // huge search's arenas in the pool, where they would pin worst-case
 // memory for the process lifetime. Against the pre-guard release() (an
 // unconditional solverPool.Put) the drained solver still holds the big
@@ -47,14 +53,13 @@ func TestReleaseDropsOversizedArenas(t *testing.T) {
 	cfg := Config{MaxStates: 20_000, Heuristic: HeuristicFloor, Workers: 1}
 
 	ctx := context.Background()
-	batch := SolveBatch(ctx, []*pebble.Instance{big, small, small}, cfg)
-	bigRes := batch[0].Result
-	if bigRes == nil || !errors.Is(batch[0].Err, ErrBudget) {
-		t.Fatalf("big solve: want a budget-stopped partial, got result %v err %v", bigRes, batch[0].Err)
+	bigRes, err := ExactWith(ctx, big, cfg)
+	if bigRes == nil || !errors.Is(err, ErrBudget) {
+		t.Fatalf("big solve: want a budget-stopped partial, got result %v err %v", bigRes, err)
 	}
-	for i, br := range batch[1:] {
-		if br.Err != nil {
-			t.Fatalf("small solve %d: %v", i, br.Err)
+	for i := 0; i < 2; i++ {
+		if res, err := ExactWith(ctx, small, cfg); err != nil || res.Status != StatusComplete {
+			t.Fatalf("small solve %d: status %v, err %v", i, res.Status, err)
 		}
 	}
 	// Precondition: the big search's state table alone (every expanded
@@ -75,7 +80,7 @@ func TestReleaseDropsOversizedArenas(t *testing.T) {
 
 // TestReleaseKeepsModestArenas guards the other direction: ordinary
 // solves stay pooled under the default threshold, so the recycling that
-// batch_test.go's allocation budgets depend on still happens.
+// back-to-back solves depend on still happens.
 func TestReleaseKeepsModestArenas(t *testing.T) {
 	drainSolverPool()
 	in := pebble.MustInstance(gen.Chain(5), pebble.MPP(1, 2, 3))
@@ -92,6 +97,89 @@ func TestReleaseKeepsModestArenas(t *testing.T) {
 	for _, s := range kept {
 		if b := s.arenaBytes(); b > maxPooledArenaBytes {
 			t.Errorf("modest solve pooled %d arena bytes > default threshold %d", b, maxPooledArenaBytes)
+		}
+	}
+}
+
+// TestPooledMatchesOracleZoo solves the whole zoo (mixed k, so the
+// packed key width changes between consecutive instances — the table-
+// reuse guard's hard case) back to back three times over, at one and at
+// four workers, and requires every Result to be byte-identical to the
+// unpooled oracle run. The repetition is the point: from the second
+// round on, every solver is a recycled one.
+func TestPooledMatchesOracleZoo(t *testing.T) {
+	ctx := context.Background()
+	for _, w := range []int{1, 4} {
+		cfg := DefaultConfig(budget)
+		cfg.Workers = w
+		for round := 0; round < 3; round++ {
+			for _, c := range zooCases() {
+				in := pebble.MustInstance(c.g, c.p)
+				got, err := ExactWith(ctx, in, cfg)
+				if err != nil {
+					t.Fatalf("%s: workers=%d round=%d: %v", c.name, w, round, err)
+				}
+				want, err := ExactOracleWith(in, cfg)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", c.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: workers=%d round=%d: pooled %+v ≠ oracle %+v", c.name, w, round, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPooledWitnessReuse recycles witness-mode solvers (the parent
+// arrays join the arena reuse) and checks each reconstructed strategy
+// still replays to its own instance's optimum.
+func TestPooledWitnessReuse(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig(budget)
+	cfg.Witness = true
+	for round := 0; round < 2; round++ {
+		for _, c := range zooCases() {
+			in := pebble.MustInstance(c.g, c.p)
+			res, err := ExactWith(ctx, in, cfg)
+			if err != nil {
+				t.Fatalf("round=%d %s: %v", round, c.name, err)
+			}
+			if res.Strategy == nil {
+				t.Fatalf("round=%d %s: no strategy", round, c.name)
+			}
+			rep, err := pebble.Replay(in, res.Strategy)
+			if err != nil {
+				t.Fatalf("round=%d %s: replay: %v", round, c.name, err)
+			}
+			if rep.Cost != res.Cost {
+				t.Errorf("round=%d %s: strategy replays to %d, result says %d",
+					round, c.name, rep.Cost, res.Cost)
+			}
+		}
+	}
+}
+
+// TestPooledAsync solves the zoo back to back in async mode, whose
+// shards draw their solvers from the same pool: every solve must land
+// on the deterministic optimum.
+func TestPooledAsync(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig(budget)
+	cfg.Workers = 4
+	cfg.Mode = ModeAsync
+	for _, c := range zooCases() {
+		in := pebble.MustInstance(c.g, c.p)
+		want, err := Exact(in, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := ExactWith(ctx, in, cfg)
+		if err != nil {
+			t.Fatalf("%s: async: %v", c.name, err)
+		}
+		if got.Cost != want.Cost {
+			t.Errorf("%s: async cost %d, want %d", c.name, got.Cost, want.Cost)
 		}
 	}
 }

@@ -113,19 +113,6 @@ func SolveCached(ctx context.Context, in *pebble.Instance, cfg Config, sc *Solve
 	return res, err
 }
 
-// SolveBatchCached is SolveBatch through a cache: each instance is
-// solved via SolveCached under the shared config, so repeated instances
-// inside (or across) batches hit instead of re-searching. Results come
-// back in input order; like SolveBatch, one instance's partial stop
-// does not abort the others.
-func SolveBatchCached(ctx context.Context, ins []*pebble.Instance, cfg Config, sc *SolveCache) []BatchResult {
-	out := make([]BatchResult, len(ins))
-	for i, in := range ins {
-		out[i].Result, out[i].Err = SolveCached(ctx, in, cfg, sc)
-	}
-	return out
-}
-
 // cloneResult returns a copy whose mutation cannot reach the original:
 // a shallow struct copy plus a deep Strategy copy when present.
 func cloneResult(r *Result) *Result {

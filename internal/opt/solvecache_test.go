@@ -276,21 +276,23 @@ func TestSolveCachedNilCache(t *testing.T) {
 	}
 }
 
-// TestSolveBatchCached: duplicate instances inside one batch hit instead
-// of re-searching, and results stay in input order.
-func TestSolveBatchCached(t *testing.T) {
+// TestSolveCachedInterleavedRepeat: a repeated instance hits even with
+// another instance's solve in between, and returns the identical Result.
+func TestSolveCachedInterleavedRepeat(t *testing.T) {
 	ctx := context.Background()
 	a := pebble.MustInstance(gen.Chain(5), pebble.MPP(1, 2, 3))
 	b := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
 	sc := NewSolveCache(cache.Options{})
-	out := SolveBatchCached(ctx, []*pebble.Instance{a, b, a}, DefaultConfig(budget), sc)
-	for i, br := range out {
-		if br.Err != nil {
-			t.Fatalf("batch[%d]: %v", i, br.Err)
+	var out []*Result
+	for i, in := range []*pebble.Instance{a, b, a} {
+		res, err := SolveCached(ctx, in, DefaultConfig(budget), sc)
+		if err != nil {
+			t.Fatalf("solve %d: %v", i, err)
 		}
+		out = append(out, res)
 	}
-	if !reflect.DeepEqual(out[0].Result, out[2].Result) {
-		t.Errorf("repeat instance solved differently within one batch")
+	if !reflect.DeepEqual(out[0], out[2]) {
+		t.Errorf("repeat instance solved differently")
 	}
 	if st := sc.Stats(); st.Hits != 1 || st.Misses != 2 {
 		t.Errorf("stats = %+v; want 1 hit, 2 misses", st)

@@ -77,8 +77,8 @@ type (
 	// sequential, its Results pure functions of instance and config;
 	// async shards across Workers goroutines, 0 = GOMAXPROCS, trading
 	// that determinism for multicore throughput); the zero value is the
-	// bare compute floor with pruning off, opt.DefaultConfig the full
-	// stack.
+	// strongest heuristic with pruning off, and SearchConfig{MaxStates:
+	// n, Dominance: true} is the full stack Exact runs.
 	SearchConfig = opt.Config
 	// HeuristicMode picks the admissible cost-to-go bound (floor | io |
 	// max) the exact search runs under.
@@ -88,12 +88,9 @@ type (
 	// ModeAsync (sharded speculative HDA*, same proven optima,
 	// timing-dependent statistics — see DESIGN.md §6).
 	SearchMode = opt.Mode
-	// BatchResult pairs one instance's OptResult with its solve error in
-	// a SolveBatch result set.
-	BatchResult = opt.BatchResult
 	// SolveCache memoizes exact-solver results behind canonical instance
 	// fingerprints (DAG structure + Params + the result-affecting config
-	// subset); pass one to SolveCached/SolveBatchCached. See
+	// subset); pass one to SolveCached. See
 	// internal/cache for the key-derivation and partial-result policy.
 	SolveCache = opt.SolveCache
 	// CacheOptions sizes a SolveCache (entry/byte bounds) and optionally
@@ -125,23 +122,13 @@ func IsPartial(err error) bool { return opt.IsPartial(err) }
 // partial-status error.
 func Exact(in *Instance, maxStates int) (*OptResult, error) { return opt.Exact(in, maxStates) }
 
-// ExactCtx is Exact with cancellation: the search also stops when ctx
-// expires, again returning its incumbent/lower-bound bracket.
-func ExactCtx(ctx context.Context, in *Instance, maxStates int) (*OptResult, error) {
-	return opt.ExactCtx(ctx, in, maxStates)
-}
-
-// ExactWith is ExactCtx with an explicit SearchConfig — heuristic mode
-// and dominance pruning — instead of the default full stack.
+// ExactWith is Exact with cancellation and an explicit SearchConfig
+// (SearchConfig{MaxStates: n, Dominance: true} is Exact's; set Witness
+// for an optimal strategy): the search also stops when ctx expires,
+// again returning its incumbent/lower-bound bracket. Solver arenas are
+// recycled between calls, so solving many instances is a plain loop.
 func ExactWith(ctx context.Context, in *Instance, cfg SearchConfig) (*OptResult, error) {
 	return opt.ExactWith(ctx, in, cfg)
-}
-
-// SolveBatch solves many instances under one SearchConfig, recycling
-// the solver arenas (state tables, queues, scratch) between instances;
-// results come back in input order, one per instance.
-func SolveBatch(ctx context.Context, ins []*Instance, cfg SearchConfig) []BatchResult {
-	return opt.SolveBatch(ctx, ins, cfg)
 }
 
 // NewSolveCache returns an exact-solve memoization cache under the
@@ -155,12 +142,6 @@ func NewSolveCache(opts CacheOptions) *SolveCache { return opt.NewSolveCache(opt
 // plain ExactWith.
 func SolveCached(ctx context.Context, in *Instance, cfg SearchConfig, sc *SolveCache) (*OptResult, error) {
 	return opt.SolveCached(ctx, in, cfg, sc)
-}
-
-// SolveBatchCached is SolveBatch through a cache: repeated instances
-// inside or across batches hit instead of re-searching.
-func SolveBatchCached(ctx context.Context, ins []*Instance, cfg SearchConfig, sc *SolveCache) []BatchResult {
-	return opt.SolveBatchCached(ctx, ins, cfg, sc)
 }
 
 // ZeroIO decides whether g has a zero-I/O pebbling with r red pebbles

@@ -33,6 +33,12 @@ go build ./...
 echo "== go test =="
 go test ${SHORT:+-short} ./...
 
+echo "== perfbench vet + test =="
+# perfbench is its own Go module (it replaces repro with ../), so the
+# root ./... never compiles it: a renamed or deleted solver entry point
+# it calls would otherwise surface only when the benchmark runs.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race =="
 # The sharded async exact solver (opt.Config.Mode = ModeAsync,
 # Workers > 1) routes states across shard goroutines over channels with
