@@ -52,7 +52,12 @@ import (
 // within an f-bucket, dominance settled at first expansion, budget cut
 // per expansion), which changed States, Pruned, budget-stop brackets
 // and witness strategies for the same key.
-const keyVersion = 2
+//
+// Version 3: dominance pruning consults the state table first, so
+// Result.Pruned counts only dominance rejections of candidates the
+// table would otherwise have accepted (re-derived candidates are no
+// longer counted). Every other Result field is unchanged.
+const keyVersion = 3
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.

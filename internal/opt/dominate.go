@@ -10,7 +10,7 @@ package opt
 // extra cost: A holds a superset of every value B holds, replayed moves
 // stay legal (surplus red pebbles are deleted for free the moment a
 // processor would overflow its memory), and blue/computed evolve
-// identically — so dropping B before it is even hashed cannot lose the
+// identically — so dropping B before it is inserted cannot lose the
 // optimum. The cheaper-cost condition must be *strict*: with ties the
 // delete-successors of a settled state (equal cost, subset reds) would
 // all be pruned against their own parent, severing the memory-freeing
@@ -152,6 +152,28 @@ func (d *domIndex) grow() {
 	}
 }
 
+// dropDominated decides whether a candidate is discarded before insert
+// under dominance pruning. The state table is consulted first: a
+// candidate the table already holds at a g-cost ≤ cost is one insert
+// would reject anyway, so it is dropped without the dominance scan and
+// without counting — in practice these re-derivations are almost all of
+// the candidates the scan used to reject (DESIGN.md §6). Only a
+// candidate the table would accept is tested for dominance, and only
+// those rejections count into Pruned. Either way the candidate is not
+// inserted, so the order of the two tests changes no other Result field.
+//
+//mpp:hotpath
+func (s *solver) dropDominated(w []uint64, cost int64) bool {
+	if idx, ok := s.tab.Find(w); ok && s.dist[idx] <= cost {
+		return true
+	}
+	if s.dominated(w, cost) {
+		s.pruned++
+		return true
+	}
+	return false
+}
+
 // dominated reports whether the candidate words w (already
 // canonicalized) at g-cost cost are strictly dominated by some settled
 // state. Settled keys are read straight from the table arena — no
@@ -159,9 +181,26 @@ func (d *domIndex) grow() {
 // parallel.go), so every potential dominator of w lives on this shard:
 // the check needs no cross-shard traffic.
 //
+// A candidate whose every processor holds R red pebbles is answered
+// without the chain scan: a dominator A needs a_p ⊇ w_p with
+// |a_p| ≤ R = |w_p| at every position, so a_p = w_p, and A shares w's
+// blue and computed words by construction — A is w itself. The caller
+// (dropDominated) has already dropped w when the table holds it at a
+// cheaper g, so no settled state can dominate it.
+//
 //mpp:hotpath
 func (s *solver) dominated(w []uint64, cost int64) bool {
 	k := s.in.K
+	full := true
+	for p := 0; p < k; p++ {
+		if popcount(w[p]) < s.in.R {
+			full = false
+			break
+		}
+	}
+	if full {
+		return false
+	}
 	blue := w[k]
 	computed := w[k+1]
 	for e := s.dom.bucket(blue, computed); e != domEmptySlot; e = s.dom.next[e] {

@@ -42,6 +42,87 @@ func zooCases() []struct {
 	}
 }
 
+// solveColdCases are the three cold-solve instances of the repository
+// benchmark (perfbench solve-cold): k=2, g=2, with the job server's
+// default r = max in-degree + 2 where the request leaves r unset.
+func solveColdCases() []struct {
+	name string
+	g    *dag.Graph
+	p    pebble.Params
+} {
+	rg := gen.RandomDAG(10, 0.3, 3, 3)
+	return []struct {
+		name string
+		g    *dag.Graph
+		p    pebble.Params
+	}{
+		{"grid:3,3", gen.Grid2D(3, 3), pebble.MPP(2, 3, 2)},
+		{"chains:3,4", gen.IndependentChains(3, 4), pebble.MPP(2, 2, 2)},
+		{"random:10,0.3,3,3", rg, pebble.MPP(2, rg.MaxInDegree()+2, 2)},
+	}
+}
+
+// TestDefaultSearchPinned pins the DefaultConfig search itself, not just
+// its optimum: (Cost, States, LowerBound, Incumbent) on the zoo and the
+// cold-solve instances, complete and budget-stopped, must equal values
+// recorded before dominance pruning learned to consult the state table
+// first and to skip candidates with every processor full. Those
+// shortcuts only drop candidates insert would reject anyway, so any
+// drift here means a shortcut changed what the search expands. Pruned
+// is deliberately absent: its meaning changed with them.
+func TestDefaultSearchPinned(t *testing.T) {
+	type pin struct {
+		cost, lb, inc int64
+		states        int
+	}
+	complete := func(cost int64, states int) pin { return pin{cost, cost, cost, states} }
+	zoo := map[string]pin{
+		"chain5":           complete(5, 8),
+		"2chains-k1":       complete(9, 112),
+		"2chains-k2":       complete(3, 5),
+		"intree-d2":        complete(10, 18287),
+		"grid2x3":          complete(6, 116),
+		"grid3x3-k1":       complete(9, 14),
+		"pyramid3":         complete(10, 15),
+		"oneshot-chain":    complete(0, 6),
+		"spp-free-compute": complete(0, 7),
+		"twolayer":         complete(3, 6),
+	}
+	cold := map[string]pin{
+		"grid:3,3":          complete(11, 54778),
+		"chains:3,4":        complete(10, 40362),
+		"random:10,0.3,3,3": complete(8, 9583),
+	}
+	// A 5000-state budget stops each cold solve before its first
+	// incumbent, pinning the anytime frontier bound.
+	coldPartial := map[string]pin{
+		"grid:3,3":          {cost: -1, lb: 9, inc: -1, states: 5000},
+		"chains:3,4":        {cost: -1, lb: 8, inc: -1, states: 5000},
+		"random:10,0.3,3,3": {cost: -1, lb: 7, inc: -1, states: 5000},
+	}
+	check := func(tag string, in *pebble.Instance, maxStates int, want pin) {
+		t.Helper()
+		res, err := ExactWith(context.Background(), in, DefaultConfig(maxStates))
+		if err != nil && !IsPartial(err) {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		got := pin{res.Cost, res.LowerBound, res.Incumbent, res.States}
+		if got != want {
+			t.Errorf("%s: (cost, lb, inc, states) = %+v, want %+v", tag, got, want)
+		}
+	}
+	for _, c := range zooCases() {
+		check(c.name, pebble.MustInstance(c.g, c.p), budget, zoo[c.name])
+	}
+	for _, c := range solveColdCases() {
+		in := pebble.MustInstance(c.g, c.p)
+		check(c.name+"/budget5000", in, 5000, coldPartial[c.name])
+		if !testing.Short() {
+			check(c.name, in, budget, cold[c.name])
+		}
+	}
+}
+
 func TestExactTableMatchesOracleZoo(t *testing.T) {
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
@@ -290,5 +371,37 @@ func TestExactAllocationBudget(t *testing.T) {
 	})
 	if allocs > 2000 {
 		t.Errorf("Exact on grid3x3 allocates %v times per run; the allocation-free core should stay ≤ 2000", allocs)
+	}
+	// The cold-solve grid at k=2 runs the dominance path hard (most
+	// candidates meet the table check or the chain scan): with pooled
+	// arenas warm, a whole 54,778-state solve allocates ~360 times (arena
+	// growth), far below one allocation per candidate.
+	cold := solveColdCases()[0]
+	in = pebble.MustInstance(cold.g, cold.p)
+	allocs = testing.AllocsPerRun(1, func() {
+		//lint:ignore verdictcheck allocation probe: only the alloc count matters here
+		if _, err := Exact(in, 10_000_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("Exact on %s k2 allocates %v times per run; the dominance path should stay ≤ 1000", cold.name, allocs)
+	}
+}
+
+// TestZeroIOAllocationBudget keeps the zero-I/O setup allocation-light:
+// the twin classes come from one sort of the node IDs, not a map of
+// per-node string signatures (83 allocations on this 28-state decision;
+// 23 with the sort).
+func TestZeroIOAllocationBudget(t *testing.T) {
+	g := gen.Pyramid(6)
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := ZeroIO(g, 8, 0)
+		if err != nil || res.Verdict != VerdictFeasible || res.States != 28 {
+			t.Fatalf("ZeroIO(pyramid6, r=8) = %+v, %v; want feasible after 28 states", res, err)
+		}
+	})
+	if allocs > 30 {
+		t.Errorf("ZeroIO on pyramid6 r=8 allocates %v times per run; want ≤ 30", allocs)
 	}
 }

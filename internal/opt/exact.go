@@ -82,7 +82,10 @@ type Result struct {
 
 	// Pruned counts candidates the search discarded instead of queuing:
 	// states strictly dominated by a settled state (one count per
-	// dominance rejection) plus, in one-shot mode, distinct states the
+	// dominance rejection of a candidate the state table would otherwise
+	// have accepted — a candidate the table already holds at an equal or
+	// lower g-cost is a re-derivation, dropped uncounted before the
+	// dominance test) plus, in one-shot mode, distinct states the
 	// heuristic proved dead (counted once per dead state, on first
 	// insertion — dead-ness is a pure function of the state, so this
 	// share is order-independent). Zero when dominance is off and the
@@ -366,8 +369,7 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 			return
 		}
 	}
-	if s.useDom && s.dominated(s.cand, cost) {
-		s.pruned++
+	if s.useDom && s.dropDominated(s.cand, cost) {
 		return
 	}
 	idx, fresh := s.insert(s.cand, cost)
@@ -386,8 +388,7 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 //
 //mpp:hotpath
 func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.Move) {
-	if s.useDom && s.dominated(w, cost) {
-		s.pruned++
+	if s.useDom && s.dropDominated(w, cost) {
 		return
 	}
 	idx, fresh := s.insert(w, cost)

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -147,35 +148,42 @@ func TestRootLowerBoundCliquePairs(t *testing.T) {
 }
 
 // TestDominancePreservesOptimum: dominance pruning must never change the
-// proven optimum, only the work done — swept over random instances where
-// red capacity is tight enough to force deletions.
+// proven optimum, only the work done. The sweep covers k ∈ {1, 2, 3} and
+// every red capacity from the tightest legal one (max in-degree + 1,
+// where processors are often full and the full-processor shortcut in
+// dominated fires) up to n (never full), plus one-shot instances, whose
+// dead-state drops share Pruned with the dominance rejections.
 func TestDominancePreservesOptimum(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(5)
-		g := gen.RandomDAG(n, 0.4, 2, seed)
-		k := 1 + rng.Intn(2)
-		r := g.MaxInDegree() + 1 // tightest legal capacity: deletes required
-		io := 1 + rng.Intn(4)
-		in := pebble.MustInstance(g, pebble.MPP(k, r, io))
+	check := func(tag string, in *pebble.Instance) {
+		t.Helper()
 		on, err := ExactWith(context.Background(), in, Config{MaxStates: budget, Dominance: true})
 		if err != nil {
-			return false
+			t.Fatalf("%s: dominance on: %v", tag, err)
 		}
 		off, err := ExactWith(context.Background(), in, Config{MaxStates: budget, Dominance: false})
 		if err != nil {
-			return false
-		}
-		if on.Cost != off.Cost {
-			t.Logf("seed %d: dominance on cost %d ≠ off cost %d", seed, on.Cost, off.Cost)
-			return false
+			t.Fatalf("%s: dominance off: %v", tag, err)
 		}
 		// States expanded usually shrink but are not monotone: pruning
 		// shifts LIFO tie-breaking on the f = OPT plateau, so no ≤ claim.
-		return true
+		if on.Cost != off.Cost {
+			t.Errorf("%s: dominance on cost %d ≠ off cost %d", tag, on.Cost, off.Cost)
+		}
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(5)
+		g := gen.RandomDAG(n, 0.4, 2, seed)
+		k := 1 + int(seed%3)
+		for r := g.MaxInDegree() + 1; r <= n; r++ {
+			io := 1 + rng.Intn(4)
+			check(fmt.Sprintf("seed %d n=%d k=%d r=%d g=%d", seed, n, k, r, io),
+				pebble.MustInstance(g, pebble.MPP(k, r, io)))
+		}
+		if seed%8 == 0 {
+			check(fmt.Sprintf("seed %d one-shot r=%d", seed, g.MaxInDegree()+1),
+				pebble.MustInstance(g, pebble.OneShotSPP(g.MaxInDegree()+1, 2)))
+		}
 	}
 }
 

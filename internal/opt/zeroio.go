@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/dag"
@@ -143,27 +144,7 @@ func zeroIO(ctx context.Context, g *dag.Graph, r int, maxStates int, failed hash
 	// successor lists are interchangeable; restrict schedules to compute
 	// each twin class in ascending ID order. This is a pure symmetry
 	// reduction (any schedule can be relabeled within a class).
-	prevTwin := make([]dag.NodeID, n)
-	{
-		classes := map[string]dag.NodeID{}
-		for v := 0; v < n; v++ {
-			sig := make([]byte, 0, 4*(g.InDegree(dag.NodeID(v))+g.OutDegree(dag.NodeID(v))+1))
-			for _, u := range g.Pred(dag.NodeID(v)) {
-				sig = append(sig, byte(u), byte(u>>8), byte(u>>16), 'p')
-			}
-			sig = append(sig, '|')
-			for _, w := range g.Succ(dag.NodeID(v)) {
-				sig = append(sig, byte(w), byte(w>>8), byte(w>>16), 's')
-			}
-			key := string(sig)
-			if prev, ok := classes[key]; ok {
-				prevTwin[v] = prev
-			} else {
-				prevTwin[v] = -1
-			}
-			classes[key] = dag.NodeID(v)
-		}
-	}
+	prevTwin := twinChain(g)
 	allowed := func(v int) bool {
 		return prevTwin[v] < 0 || computed.Contains(int(prevTwin[v]))
 	}
@@ -267,6 +248,34 @@ func zeroIO(ctx context.Context, g *dag.Graph, r int, maxStates int, failed hash
 		res.Order = order
 	}
 	return res, nil
+}
+
+// twinChain links each node to its nearest lower-ID twin — a node with
+// the identical predecessor and successor lists — or -1 when it has
+// none. One stable sort of the node IDs by (pred list, succ list)
+// makes every twin class a contiguous run in ascending ID order; no
+// per-node key is built.
+func twinChain(g *dag.Graph) []dag.NodeID {
+	n := g.N()
+	order := make([]dag.NodeID, n)
+	for v := range order {
+		order[v] = dag.NodeID(v)
+	}
+	adjCmp := func(a, b dag.NodeID) int {
+		if c := slices.Compare(g.Pred(a), g.Pred(b)); c != 0 {
+			return c
+		}
+		return slices.Compare(g.Succ(a), g.Succ(b))
+	}
+	slices.SortStableFunc(order, adjCmp) // stable: IDs stay ascending within a class
+	prevTwin := make([]dag.NodeID, n)
+	for i, v := range order {
+		prevTwin[v] = -1
+		if i > 0 && adjCmp(order[i-1], v) == 0 {
+			prevTwin[v] = order[i-1]
+		}
+	}
+	return prevTwin
 }
 
 // ZeroIOStrategy converts a witness order from ZeroIO into an executable

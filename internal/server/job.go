@@ -246,7 +246,7 @@ type resultJSON struct {
 	LowerBound int64           `json:"lower_bound"`
 	Incumbent  int64           `json:"incumbent"`
 	States     int             `json:"states"`
-	Pruned     int             `json:"pruned"`
+	Pruned     int             `json:"pruned"` // dominance rejections of table-new candidates, plus one-shot dead states (opt.Result.Pruned)
 	ReExpanded int             `json:"re_expanded"`
 	Heuristic  string          `json:"heuristic"`
 	Strategy   json.RawMessage `json:"strategy,omitempty"`
